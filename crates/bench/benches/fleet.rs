@@ -25,15 +25,15 @@ fn bench_fleet_scheduler(c: &mut Criterion) {
     let fleet = FleetSpec::new(16, 30.0, 64);
     group.bench_function("one_worker", |b| {
         b.iter(|| {
-            let report =
-                FleetScheduler::new(spec, system).with_threads(1).run(&fleet).expect("fleet runs");
-            black_box(report.mean_current_ua())
+            let run =
+                FleetScheduler::new(spec, system).with_threads(1).builder().spec(&fleet).run();
+            black_box(run.expect("fleet runs").report.mean_current_ua())
         })
     });
     group.bench_function("all_workers", |b| {
         b.iter(|| {
-            let report = FleetScheduler::new(spec, system).run(&fleet).expect("fleet runs");
-            black_box(report.mean_current_ua())
+            let run = FleetScheduler::new(spec, system).builder().spec(&fleet).run();
+            black_box(run.expect("fleet runs").report.mean_current_ua())
         })
     });
     group.finish();
@@ -47,11 +47,9 @@ fn bench_lockstep_chunking(c: &mut Criterion) {
         let fleet = FleetSpec { lockstep_devices, ..FleetSpec::new(16, 20.0, 64) };
         group.bench_function(name, |b| {
             b.iter(|| {
-                let report = FleetScheduler::new(spec, system)
-                    .with_threads(1)
-                    .run(&fleet)
-                    .expect("fleet runs");
-                black_box(report.mean_accuracy())
+                let run =
+                    FleetScheduler::new(spec, system).with_threads(1).builder().spec(&fleet).run();
+                black_box(run.expect("fleet runs").report.mean_accuracy())
             })
         });
     }

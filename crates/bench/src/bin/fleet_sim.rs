@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let threads = scheduler.worker_threads();
     eprintln!("[fleet_sim] running {devices} devices × {duration_s} s on {threads} workers…");
     let start = std::time::Instant::now();
-    let parallel = scheduler.run(&fleet)?;
+    let parallel = scheduler.builder().spec(&fleet).run()?.report;
     let wall = start.elapsed();
 
     println!("Fleet simulation — {devices} devices × {duration_s} s\n");
@@ -124,7 +124,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     eprintln!("[fleet_sim] verifying bit-identity against a single-threaded run…");
-    let serial = scheduler.with_threads(1).run(&fleet)?;
+    let serial = scheduler.with_threads(1).builder().spec(&fleet).run()?.report;
     if serial != parallel {
         return Err("multi-threaded fleet run differs from the single-threaded run".into());
     }

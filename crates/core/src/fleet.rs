@@ -10,7 +10,8 @@
 //!   so every device's whole life — schedule, subject variation, sensor noise —
 //!   is reproducible independently of scheduling order.
 //! * [`FleetScheduler`] — a `std::thread` worker pool pulling fixed-size device
-//!   chunks from a shared atomic queue.  Each chunk ticks its devices in
+//!   chunks from a shared atomic queue, driven through one entry point,
+//!   [`FleetScheduler::builder`].  Each chunk ticks its devices in
 //!   **lockstep** so their classifier calls are batched through one
 //!   [`Classifier::predict_batch_into`](adasense_ml::Classifier::predict_batch_into)
 //!   forward pass per backend per tick
@@ -22,22 +23,25 @@
 //!   percentiles of power, accuracy and per-configuration residency, per-routine
 //!   and per-backend breakdowns) in memory bounded by the population's
 //!   *diversity*, never its size.  Reports from device-range shards
-//!   ([`FleetSpec::shards`], [`FleetScheduler::run_shard`]) merge into exactly
+//!   ([`FleetSpec::shards`], [`FleetRunBuilder::shard`]) merge into exactly
 //!   the monolithic report — byte-for-byte under [`FleetReport::encode`] — and
 //!   per-device rows stream to an on-disk [`SpoolWriter`](crate::shard::SpoolWriter)
 //!   (or any [`SummarySink`]) instead of accumulating in RAM, so million-device
-//!   cohorts fit one box.  [`FleetScheduler::run_collect`] keeps the rows for
+//!   cohorts fit one box.  [`FleetRunBuilder::collect`] keeps the rows for
 //!   the workloads that want them.
 //!
-//! The scheduler also exposes [`FleetScheduler::run_scenarios`], an
-//! order-preserving parallel runner for explicit `(scenario, controller)` job
-//! lists; the Fig. 6 / Fig. 7 experiment sweeps run through it.  Live
-//! telemetry joins the same machinery through
-//! [`FleetScheduler::run_with_feeds`]: a cohort of [`ExternalDevice`]s —
-//! channel- or socket-fed [`SampleSource`]s from [`crate::ingest`] — ticks in
-//! the same lockstep chunks alongside the scenario-driven population.
+//! Every chunk runs through one lockstep cohort loop.  A scenario device joins
+//! it as an [`ExternalDevice`] over its [`FleetScheduler::device_source`], so
+//! live telemetry — channel- or socket-fed [`SampleSource`]s from
+//! [`crate::ingest`], given up front as [`FleetRunBuilder::feeds`] or arriving
+//! mid-run on a [`FleetRunBuilder::intake`] — ticks the same way alongside the
+//! scenario-driven population.  The scheduler also exposes
+//! [`FleetScheduler::run_scenarios`], an order-preserving parallel runner for
+//! explicit `(scenario, controller)` job lists; the Fig. 6 / Fig. 7
+//! experiment sweeps run through it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::Mutex;
 
 use adasense_data::ActivityChangeSetting;
@@ -125,16 +129,16 @@ impl FleetSpec {
         Self::new(64, 60.0, 64)
     }
 
-    /// Checks the specification for consistency.
+    /// Checks the specification for consistency.  A spec with `devices: 0`
+    /// is valid: whether a run has any device at all also depends on its
+    /// feeds and intake, which [`FleetRunBuilder::run`] checks.
     ///
     /// # Errors
     ///
-    /// Returns [`AdaSenseError::InvalidSpec`] for an empty fleet, a timeline
-    /// shorter than one classification window or a zero lockstep chunk.
+    /// Returns [`AdaSenseError::InvalidSpec`] for a timeline shorter than one
+    /// classification window, a zero lockstep chunk, a zero compression ratio
+    /// or an invalid population.
     pub fn validate(&self) -> Result<(), AdaSenseError> {
-        if self.devices == 0 {
-            return Err(AdaSenseError::invalid_spec("a fleet needs at least one device"));
-        }
         if self.duration_s < crate::runtime::WINDOW_S {
             return Err(AdaSenseError::invalid_spec(format!(
                 "fleet duration {} s is shorter than one {} s classification window",
@@ -155,10 +159,11 @@ impl FleetSpec {
     /// `(base_seed, device_id)`: its seed, its routine and backend assignment,
     /// and the realized scenario it will live.
     ///
-    /// This is the exact setup [`FleetScheduler::run`] uses, exposed so replay
-    /// tooling can rebuild a device's world outside the scheduler — record its
-    /// stream with a [`TraceRecorder`](crate::ingest::TraceRecorder), then
-    /// feed the trace back as an [`ExternalDevice`].
+    /// This is the exact setup [`FleetRunBuilder::run`] gives each scenario
+    /// device, exposed so replay tooling can rebuild a device's world outside
+    /// the scheduler — record its stream with a
+    /// [`TraceRecorder`](crate::ingest::TraceRecorder), then feed the trace
+    /// back as an [`ExternalDevice`].
     pub fn device_plan(&self, device_id: u64) -> DevicePlan {
         let seed = device_seed(self.base_seed, device_id);
         let profile = self.population.prior.assign(seed);
@@ -180,7 +185,7 @@ impl FleetSpec {
     /// [`lockstep_devices`](FleetSpec::lockstep_devices) chunk boundaries and
     /// maximally balanced (trailing ranges may be empty when there are fewer
     /// chunks than shards).  Each range, run through
-    /// [`FleetScheduler::run_shard`], schedules exactly the lockstep chunks
+    /// [`FleetRunBuilder::shard`], schedules exactly the lockstep chunks
     /// the monolithic run would, and the shard reports merge into exactly the
     /// monolithic report — per-device seeding makes every device's life
     /// independent of which shard runs it.  The canonical merge order is
@@ -212,9 +217,10 @@ pub struct DevicePlan {
 /// [`DeviceSummary`] row should carry.
 ///
 /// The source is driven until it reports end-of-stream (or until
-/// `duration_s`, when bounded).  Fault exposure is a capture-side property
-/// the feed does not carry, so external rows always report
-/// `faulted_epochs == 0`.
+/// `duration_s`, when bounded).  The row's `faulted_epochs` is the source's
+/// [`SampleSource::faulted_captures`]: a scenario device's
+/// [`FaultInjector`] counts its fault exposure, while a live feed does not
+/// carry one and reports 0.
 pub struct ExternalDevice {
     /// The id the device's summary row carries.  The caller is responsible
     /// for keeping feed ids distinct from the scenario cohort's `0..devices`.
@@ -288,18 +294,6 @@ impl ExternalDevice {
         self.departed = departed;
         self
     }
-}
-
-/// The summary metadata of one externally fed device, separated from its
-/// boxed source so the scheduler can keep it while the runtime owns the feed.
-#[derive(Debug, Clone)]
-struct FeedMeta {
-    device_id: u64,
-    seed: u64,
-    routine: String,
-    backend: BackendKind,
-    start_epoch: u64,
-    departed: bool,
 }
 
 impl std::fmt::Debug for ExternalDevice {
@@ -432,10 +426,10 @@ pub struct RoutineBreakdown {
 /// *exactly* — bit for bit, in any merge order — the report of the monolithic
 /// run; [`encode`](FleetReport::encode) is canonical, making that equality
 /// checkable byte for byte (the `fleet_shard` binary gates it in CI).
-/// Per-device rows no longer live in the report:
-/// [`FleetScheduler::run_collect`] returns them alongside it, and
-/// [`FleetScheduler::run_shard`] streams them to a [`SummarySink`] such as the
-/// on-disk [`SpoolWriter`](crate::shard::SpoolWriter).
+/// Per-device rows do not live in the report: a
+/// [`collect`](FleetRunBuilder::collect)ing run returns them alongside it, and
+/// a [`sink`](FleetRunBuilder::sink) streams them to a [`SummarySink`] such as
+/// the on-disk [`SpoolWriter`](crate::shard::SpoolWriter).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     /// Label of the controller the fleet ran.
@@ -832,18 +826,19 @@ pub(crate) fn mean(values: impl Iterator<Item = f64>) -> f64 {
     }
 }
 
-/// A fleet run that kept its per-device rows: the mergeable [`FleetReport`]
-/// plus one [`DeviceSummary`] per device.  Produced by
-/// [`FleetScheduler::run_collect`] and [`FleetScheduler::run_with_feeds`] for
-/// the workloads that need row-level detail in RAM (replay gates, per-device
-/// assertions); memory grows with the cohort, so bounded-memory paths use
-/// [`FleetScheduler::run`] or [`FleetScheduler::run_shard`] instead.
+/// A fleet run's outcome: the mergeable [`FleetReport`] plus, when the run
+/// was built with [`collect`](FleetRunBuilder::collect), one [`DeviceSummary`]
+/// per device for the workloads that need row-level detail in RAM (replay
+/// gates, per-device assertions).  Memory for the rows grows with the cohort,
+/// so bounded-memory runs leave `collect` off and stream rows to a
+/// [`sink`](FleetRunBuilder::sink) instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetRun {
     /// The mergeable population report.
     pub report: FleetReport,
-    /// One summary per device: the scenario cohort first (by device id), then
-    /// any feed cohort in the order given.
+    /// One summary per device when collected (empty otherwise): the scenario
+    /// cohort first (by device id), then any feed cohort in the order given,
+    /// then intake devices in completion order.
     pub summaries: Vec<DeviceSummary>,
 }
 
@@ -877,117 +872,10 @@ impl<'a> FleetScheduler<'a> {
         }
     }
 
-    /// Runs `fleet`: every device plays its own randomized scenario through a
-    /// [`DeviceRuntime`], chunks of devices tick in lockstep with batched
-    /// classification, and the chunks are distributed over the worker pool.
-    ///
-    /// Memory is **bounded**: completed rows fold into the mergeable report
-    /// and are dropped, so a million-device cohort costs no more RAM than a
-    /// hundred-device one.  Use [`run_collect`](FleetScheduler::run_collect)
-    /// to keep the rows, or [`run_shard`](FleetScheduler::run_shard) to
-    /// stream them to an on-disk spool.
-    ///
-    /// The report is bit-identical for any worker count because device seeds
-    /// and chunk boundaries depend only on the spec and every report
-    /// statistic is independent of the chunk completion order.
-    ///
-    /// Deprecated in favor of the builder: this is a thin wrapper kept for
-    /// compatibility, equivalent to
-    /// [`builder()`](FleetScheduler::builder)`.spec(fleet).run()?.report`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AdaSenseError::InvalidSpec`] for degenerate specs and
-    /// propagates per-device simulation errors.
-    pub fn run(&self, fleet: &FleetSpec) -> Result<FleetReport, AdaSenseError> {
-        Ok(self.builder().spec(fleet).run()?.report)
-    }
-
-    /// Runs the devices of one [`ShardRange`] of `fleet`, streaming every
-    /// completed [`DeviceSummary`] row to `sink` (a
-    /// [`SpoolWriter`](crate::shard::SpoolWriter) for on-disk spooling,
-    /// [`DiscardSink`] for report-only runs) and returning the shard's
-    /// mergeable report.  Memory is bounded: no row outlives its sink push.
-    ///
-    /// Rows reach the sink grouped by lockstep chunk but in chunk-*completion*
-    /// order, which depends on worker scheduling — consumers needing an order
-    /// must sort by `device_id`.  The report is insensitive to that order, so
-    /// it stays bit-identical at any worker count, and shard reports
-    /// [`merge`](FleetReport::merge) into exactly the monolithic
-    /// [`run`](FleetScheduler::run) report (canonically in ascending shard
-    /// order; see [`FleetSpec::shards`]).
-    ///
-    /// Deprecated in favor of the builder: this is a thin wrapper kept for
-    /// compatibility, equivalent to [`builder()`](FleetScheduler::builder)
-    /// `.spec(fleet).shard(range).sink(sink).run()?.report`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AdaSenseError::InvalidSpec`] for degenerate specs or a range
-    /// outside the fleet, and propagates per-device and sink errors.
-    pub fn run_shard(
-        &self,
-        fleet: &FleetSpec,
-        range: ShardRange,
-        sink: &mut dyn SummarySink,
-    ) -> Result<FleetReport, AdaSenseError> {
-        Ok(self.builder().spec(fleet).shard(range).sink(sink).run()?.report)
-    }
-
-    /// Runs `fleet` like [`run`](FleetScheduler::run) but keeps every
-    /// [`DeviceSummary`] row in RAM, returned in device-id order alongside
-    /// the report.  Memory grows with the cohort; prefer
-    /// [`run`](FleetScheduler::run) or
-    /// [`run_shard`](FleetScheduler::run_shard) for large fleets.
-    ///
-    /// Deprecated in favor of the builder: this is a thin wrapper kept for
-    /// compatibility, equivalent to
-    /// [`builder()`](FleetScheduler::builder)`.spec(fleet).collect().run()`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AdaSenseError::InvalidSpec`] for degenerate specs and
-    /// propagates per-device simulation errors.
-    pub fn run_collect(&self, fleet: &FleetSpec) -> Result<FleetRun, AdaSenseError> {
-        fleet.validate()?;
-        self.builder().spec(fleet).collect().run()
-    }
-
-    /// Runs `fleet` with a cohort of externally fed devices alongside the
-    /// scenario-driven ones: live telemetry feeds ([`ExternalDevice`]) join
-    /// the same worker pool, tick in the same lockstep chunks of
-    /// [`FleetSpec::lockstep_devices`], and batch their classifier calls the
-    /// same way.  `fleet.devices` may be `0` for a feed-only run.
-    ///
-    /// The summaries list the scenario cohort first (by device id), then the
-    /// feed cohort in the order given.  Scenario rows are bit-identical to
-    /// [`run_collect`](FleetScheduler::run_collect); a feed row is
-    /// bit-identical to the run that produced its trace when the feed replays
-    /// a recording (the `telemetry_replay` binary gates exactly that in CI).
-    ///
-    /// Deprecated in favor of the builder: this is a thin wrapper kept for
-    /// compatibility, equivalent to [`builder()`](FleetScheduler::builder)
-    /// `.spec(fleet).feeds(feeds).collect().run()`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AdaSenseError::InvalidSpec`] for degenerate specs (including
-    /// no devices in either cohort) and propagates per-device errors.
-    pub fn run_with_feeds(
-        &self,
-        fleet: &FleetSpec,
-        feeds: Vec<ExternalDevice>,
-    ) -> Result<FleetRun, AdaSenseError> {
-        self.builder().spec(fleet).feeds(feeds).collect().run()
-    }
-
     /// Runs an explicit list of `(scenario, controller)` simulations over the
     /// worker pool, returning their reports in job order.  This is the runner
-    /// behind the experiment sweeps (Figs. 6 & 7).
-    ///
-    /// Deprecated in favor of the builder: this is a thin wrapper kept for
-    /// compatibility, equivalent to
-    /// [`builder()`](FleetScheduler::builder)`.sweep(jobs)`.
+    /// behind the experiment sweeps (Figs. 6 & 7); fleets run through
+    /// [`builder`](FleetScheduler::builder) instead.
     ///
     /// # Errors
     ///
@@ -996,17 +884,22 @@ impl<'a> FleetScheduler<'a> {
         &self,
         jobs: &[(ScenarioSpec, ControllerKind)],
     ) -> Result<Vec<SimulationReport>, AdaSenseError> {
-        self.builder().sweep(jobs)
+        run_jobs(self.worker_threads(), jobs.len(), |i| {
+            let (scenario, controller) = &jobs[i];
+            Simulator::new(self.spec, self.system)
+                .with_controller(*controller)
+                .run(scenario.clone())
+        })
     }
 
-    /// Opens a [`FleetRunBuilder`]: the single entry point behind every way of
-    /// driving a fleet.  Pick a [`spec`](FleetRunBuilder::spec), optionally
-    /// add [`feeds`](FleetRunBuilder::feeds), a
+    /// Opens a [`FleetRunBuilder`]: the one entry point for running a fleet.
+    /// Pick a [`spec`](FleetRunBuilder::spec), optionally add
+    /// [`feeds`](FleetRunBuilder::feeds), a live
+    /// [`intake`](FleetRunBuilder::intake), a
     /// [`shard`](FleetRunBuilder::shard) range, a streaming
     /// [`sink`](FleetRunBuilder::sink) or in-RAM row
     /// [`collect`](FleetRunBuilder::collect)ion, then call
-    /// [`run`](FleetRunBuilder::run) (or [`sweep`](FleetRunBuilder::sweep)
-    /// for explicit scenario lists).
+    /// [`run`](FleetRunBuilder::run).
     pub fn builder<'s>(&self) -> FleetRunBuilder<'a, 's> {
         FleetRunBuilder {
             scheduler: *self,
@@ -1036,228 +929,130 @@ impl<'a> FleetScheduler<'a> {
         )
     }
 
-    /// Runs one lockstep chunk of scenario-driven devices to completion.
-    fn run_chunk(
-        &self,
-        fleet: &FleetSpec,
-        device_ids: std::ops::Range<u64>,
-    ) -> Result<Vec<DeviceSummary>, AdaSenseError> {
-        let chunk_len = (device_ids.end - device_ids.start) as usize;
-        let mut plans = Vec::with_capacity(chunk_len);
-        let mut backends = Vec::with_capacity(chunk_len);
-        let mut runtimes = Vec::with_capacity(chunk_len);
-        for device_id in device_ids {
-            let plan = fleet.device_plan(device_id);
-            let duration_s = plan.scenario.duration_s();
-            let source = self.device_source(fleet, &plan);
-            let mut runtime = DeviceRuntime::for_source(
-                self.spec,
-                self.system,
-                fleet.controller,
-                source,
-                duration_s,
-            )?
-            .with_recording(false)
-            .with_classifier(self.system.backend(plan.backend));
-            if let Some(ratio) = fleet.tx_ratio {
-                runtime = runtime.with_tx(TxSetup::ble(ratio).with_seed(plan.seed));
-            }
-            backends.push(plan.backend);
-            plans.push(plan);
-            runtimes.push(runtime);
-        }
-
-        self.run_lockstep(&mut runtimes, &backends);
-
-        Ok(plans
-            .into_iter()
-            .zip(runtimes)
-            .map(|(plan, runtime)| {
-                let tally = runtime.cascade_tally();
-                let tx = runtime.tx_tally();
-                DeviceSummary {
-                    device_id: plan.device_id,
-                    seed: plan.seed,
-                    routine: plan.routine,
-                    backend: plan.backend.label().to_string(),
-                    faulted_epochs: runtime.source().faulted_captures(),
-                    epochs: runtime.epochs(),
-                    correct_epochs: runtime.correct_epochs(),
-                    early_exit_epochs: tally.early_exit_epochs,
-                    early_exit_correct: tally.early_exit_correct,
-                    escalated_epochs: tally.escalated_epochs,
-                    escalated_correct: tally.escalated_correct,
-                    accuracy: runtime.accuracy(),
-                    average_current_ua: runtime.average_current_ua(),
-                    total_charge_uc: runtime.total_charge().micro_coulombs(),
-                    duration_s: runtime.elapsed_s(),
-                    residency_s: runtime.residency_seconds().to_vec(),
-                    tx_epochs: tx.epochs.to_vec(),
-                    tx_bytes: tx.bytes.to_vec(),
-                    tx_charge_uc: tx.charge_uc.to_vec(),
-                    start_epoch: 0,
-                    departed: false,
-                }
-            })
-            .collect())
-    }
-
-    /// Builds the runtime driving one externally fed device, returning it
-    /// alongside the metadata its summary row will carry.
-    fn feed_runtime(
-        &self,
-        fleet: &FleetSpec,
-        feed: ExternalDevice,
-    ) -> Result<(FeedMeta, DeviceRuntime<'a, Box<dyn SampleSource + Send>>), AdaSenseError> {
-        let ExternalDevice {
-            device_id,
-            seed,
-            routine,
-            backend,
-            duration_s,
-            start_epoch,
-            departed,
-            source,
-        } = feed;
-        let mut runtime = match duration_s {
-            Some(duration_s) => DeviceRuntime::for_source(
-                self.spec,
-                self.system,
-                fleet.controller,
-                source,
-                duration_s,
-            )?,
-            None => DeviceRuntime::new(self.spec, self.system, fleet.controller, source),
-        }
-        .with_recording(false)
-        .with_classifier(self.system.backend(backend));
-        if let Some(ratio) = fleet.tx_ratio {
-            runtime = runtime.with_tx(TxSetup::ble(ratio).with_seed(seed));
-        }
-        Ok((FeedMeta { device_id, seed, routine, backend, start_epoch, departed }, runtime))
-    }
-
-    /// Finalizes one externally fed device into its summary row.  Fault
-    /// exposure is a capture-side property the feed does not carry, so the
-    /// row always reports `faulted_epochs == 0`.
-    fn feed_summary<S: SampleSource>(
-        meta: FeedMeta,
-        runtime: &DeviceRuntime<'_, S>,
-    ) -> DeviceSummary {
-        let tally = runtime.cascade_tally();
-        let tx = runtime.tx_tally();
-        DeviceSummary {
-            device_id: meta.device_id,
-            seed: meta.seed,
-            routine: meta.routine,
-            backend: meta.backend.label().to_string(),
-            faulted_epochs: 0,
-            epochs: runtime.epochs(),
-            correct_epochs: runtime.correct_epochs(),
-            early_exit_epochs: tally.early_exit_epochs,
-            early_exit_correct: tally.early_exit_correct,
-            escalated_epochs: tally.escalated_epochs,
-            escalated_correct: tally.escalated_correct,
-            accuracy: runtime.accuracy(),
-            average_current_ua: runtime.average_current_ua(),
-            total_charge_uc: runtime.total_charge().micro_coulombs(),
-            duration_s: runtime.elapsed_s(),
-            residency_s: runtime.residency_seconds().to_vec(),
-            tx_epochs: tx.epochs.to_vec(),
-            tx_bytes: tx.bytes.to_vec(),
-            tx_charge_uc: tx.charge_uc.to_vec(),
-            start_epoch: meta.start_epoch,
-            departed: meta.departed,
-        }
-    }
-
-    /// Runs one lockstep chunk of externally fed devices until every feed
-    /// exhausts (or hits its tick budget).  Fed devices inherit the fleet's
-    /// controller and transmission setup; a feed's tx seed is its carried
+    /// Drives one lockstep cohort until it has drained *and* `intake` has
+    /// disconnected; a static cohort is a pre-filled, closed intake.
+    ///
+    /// Devices join between ticks as they arrive, blocking only while the
+    /// cohort is empty.  Each inherits the fleet's controller and
+    /// transmission setup, the latter seeded by its carried
     /// [`ExternalDevice::seed`], so a replayed scenario device prices and
-    /// compresses exactly as the original did.
-    fn run_feed_chunk(
+    /// compresses exactly as the original did.  A device is finalized and
+    /// evicted the tick it completes, and its row goes to `on_row` with its
+    /// admission index.  Per-row results never depend on the batch
+    /// composition, so the cohort growing and shrinking changes no row.
+    fn drive_cohort(
         &self,
         fleet: &FleetSpec,
-        feeds: Vec<ExternalDevice>,
-    ) -> Result<Vec<DeviceSummary>, AdaSenseError> {
-        let mut metas = Vec::with_capacity(feeds.len());
-        let mut backends = Vec::with_capacity(feeds.len());
-        let mut runtimes = Vec::with_capacity(feeds.len());
-        for feed in feeds {
-            let (meta, runtime) = self.feed_runtime(fleet, feed)?;
-            backends.push(meta.backend);
-            metas.push(meta);
-            runtimes.push(runtime);
-        }
-
-        self.run_lockstep(&mut runtimes, &backends);
-
-        Ok(metas
-            .into_iter()
-            .zip(runtimes)
-            .map(|(meta, runtime)| Self::feed_summary(meta, &runtime))
-            .collect())
-    }
-
-    /// Ticks every live device of a chunk once per iteration, batching all
-    /// pending classifications of the tick into one forward pass *per
-    /// backend* (devices on different backends cannot share a matrix product,
-    /// but each backend group still batches).  The pools retain their row
-    /// buffers, so the per-tick loop allocates nothing once they have grown.
-    /// Devices are drained into the pools in device order and each pool is
-    /// resolved in that same order, so the batch composition — and with it
-    /// every per-row result — depends only on the spec, never on the worker
-    /// count.  Devices whose source exhausts simply drop out of the lockstep.
-    fn run_lockstep<S: crate::runtime::SampleSource>(
-        &self,
-        runtimes: &mut [DeviceRuntime<'_, S>],
-        backends: &[BackendKind],
-    ) {
+        intake: Receiver<ExternalDevice>,
+        on_row: &mut dyn FnMut(usize, DeviceSummary) -> Result<(), AdaSenseError>,
+    ) -> Result<(), AdaSenseError> {
+        let mut metas: Vec<RowMeta> = Vec::new();
+        let mut backends: Vec<BackendKind> = Vec::new();
+        let mut runtimes: Vec<DeviceRuntime<'a, Box<dyn SampleSource + Send>>> = Vec::new();
         let mut scratch = LockstepScratch::default();
-        while self.lockstep_tick(runtimes, backends, &mut scratch) {}
+        let mut admitted = 0;
+        let mut open = true;
+        loop {
+            while open {
+                let arrival = if runtimes.is_empty() {
+                    intake.recv().ok()
+                } else {
+                    match intake.try_recv() {
+                        Err(TryRecvError::Empty) => break,
+                        arrival => arrival.ok(),
+                    }
+                };
+                let Some(device) = arrival else {
+                    open = false;
+                    break;
+                };
+                let ExternalDevice {
+                    device_id,
+                    seed,
+                    routine,
+                    backend,
+                    duration_s,
+                    start_epoch,
+                    departed,
+                    source,
+                } = device;
+                let (spec, system, controller) = (self.spec, self.system, fleet.controller);
+                let mut runtime = match duration_s {
+                    Some(duration_s) => {
+                        DeviceRuntime::for_source(spec, system, controller, source, duration_s)?
+                    }
+                    None => DeviceRuntime::new(spec, system, controller, source),
+                }
+                .with_recording(false)
+                .with_classifier(system.backend(backend));
+                if let Some(ratio) = fleet.tx_ratio {
+                    runtime = runtime.with_tx(TxSetup::ble(ratio).with_seed(seed));
+                }
+                metas.push(RowMeta {
+                    index: admitted,
+                    device_id,
+                    seed,
+                    routine,
+                    backend,
+                    start_epoch,
+                    departed,
+                });
+                admitted += 1;
+                backends.push(backend);
+                runtimes.push(runtime);
+            }
+            if runtimes.is_empty() {
+                return Ok(());
+            }
+            self.lockstep_tick(&mut runtimes, &backends, &mut scratch);
+            // Order-preserving eviction keeps the survivors in admission
+            // order, the order their rows join the next tick's batches.
+            let mut i = 0;
+            while i < runtimes.len() {
+                if runtimes[i].is_complete() {
+                    let runtime = runtimes.remove(i);
+                    backends.remove(i);
+                    let meta = metas.remove(i);
+                    on_row(meta.index, summary(meta, &runtime))?;
+                } else {
+                    i += 1;
+                }
+            }
+        }
     }
 
-    /// Advances every live device of a cohort by one tick (one iteration of
-    /// [`run_lockstep`](Self::run_lockstep)'s loop), returning whether any
-    /// device is still live.  Per-row results are independent of the batch
-    /// composition, so the cohort may grow or shrink between ticks — the
-    /// churn entry point [`FleetRunBuilder::intake`] relies on exactly that.
-    fn lockstep_tick<S: crate::runtime::SampleSource>(
+    /// Advances every device of a cohort by one tick, batching all pending
+    /// classifications of the tick into one forward pass *per backend*
+    /// (devices on different backends cannot share a matrix product, but each
+    /// backend group still batches).  The pools retain their row buffers, so
+    /// the per-tick loop allocates nothing once they have grown.  Devices are
+    /// drained into the pools in cohort order and each pool is resolved in
+    /// that same order, so the batch composition depends only on the cohort,
+    /// never on the worker count.  No device may be complete:
+    /// [`drive_cohort`](Self::drive_cohort) evicts each one the tick it
+    /// finishes.
+    fn lockstep_tick<S: SampleSource>(
         &self,
         runtimes: &mut [DeviceRuntime<'_, S>],
         backends: &[BackendKind],
         scratch: &mut LockstepScratch,
-    ) -> bool {
+    ) {
         let LockstepScratch { pools, predictions, stages } = scratch;
-        let mut any_live = false;
         for pool in pools.iter_mut() {
             pool.reset();
         }
         for (i, runtime) in runtimes.iter_mut().enumerate() {
-            if runtime.is_complete() {
-                continue;
-            }
-            match runtime.begin_tick() {
-                TickPhase::Exhausted => {}
-                TickPhase::Idle(_) => any_live = true,
-                TickPhase::Classify => {
-                    any_live = true;
-                    if runtime.batches_with_unified() {
-                        pools[backend_index(backends[i])].push(i, runtime.pending_features());
-                    } else {
-                        // Bank classifiers are per-configuration; classify
-                        // this device individually.
-                        let (prediction, stage) = runtime
-                            .active_classifier()
-                            .predict_with_stage(runtime.pending_features());
-                        runtime.complete_tick_staged(prediction, stage);
-                    }
+            if let TickPhase::Classify = runtime.begin_tick() {
+                if runtime.batches_with_unified() {
+                    pools[backend_index(backends[i])].push(i, runtime.pending_features());
+                } else {
+                    // Bank classifiers are per-configuration; classify this
+                    // device individually.
+                    let (prediction, stage) =
+                        runtime.active_classifier().predict_with_stage(runtime.pending_features());
+                    runtime.complete_tick_staged(prediction, stage);
                 }
             }
-        }
-        if !any_live {
-            return false;
         }
         for (pool, kind) in pools.iter().zip(BackendKind::ALL) {
             if pool.used == 0 {
@@ -1270,79 +1065,59 @@ impl<'a> FleetScheduler<'a> {
                 runtimes[i].complete_tick_staged(prediction, stage);
             }
         }
-        true
     }
+}
 
-    /// Drives a churning cohort fed through a channel: devices admitted
-    /// between ticks as they arrive on `intake`, completed devices finalized
-    /// immediately at their last completed epoch and handed to `on_row`.
-    /// Returns once the cohort has drained *and* the intake has
-    /// disconnected.
-    fn run_intake_churn(
-        &self,
-        fleet: &FleetSpec,
-        intake: std::sync::mpsc::Receiver<ExternalDevice>,
-        on_row: &mut dyn FnMut(DeviceSummary) -> Result<(), AdaSenseError>,
-    ) -> Result<(), AdaSenseError> {
-        let mut metas: Vec<FeedMeta> = Vec::new();
-        let mut backends: Vec<BackendKind> = Vec::new();
-        let mut runtimes: Vec<DeviceRuntime<'a, Box<dyn SampleSource + Send>>> = Vec::new();
-        let mut scratch = LockstepScratch::default();
-        let mut open = true;
-        loop {
-            // Admit arrivals between ticks: block only when the cohort is
-            // empty (nothing to tick anyway), otherwise drain without
-            // waiting.
-            loop {
-                let feed = if runtimes.is_empty() && open {
-                    match intake.recv() {
-                        Ok(feed) => Some(feed),
-                        Err(_) => {
-                            open = false;
-                            None
-                        }
-                    }
-                } else {
-                    match intake.try_recv() {
-                        Ok(feed) => Some(feed),
-                        Err(std::sync::mpsc::TryRecvError::Empty) => None,
-                        Err(std::sync::mpsc::TryRecvError::Disconnected) => {
-                            open = false;
-                            None
-                        }
-                    }
-                };
-                let Some(feed) = feed else { break };
-                let (meta, runtime) = self.feed_runtime(fleet, feed)?;
-                backends.push(meta.backend);
-                metas.push(meta);
-                runtimes.push(runtime);
-            }
-            if runtimes.is_empty() {
-                if open {
-                    continue;
-                }
-                return Ok(());
-            }
-            self.lockstep_tick(&mut runtimes, &backends, &mut scratch);
-            // Finalize and evict completed devices so a drained feed's row is
-            // visible (to the shared aggregate and any sink) without waiting
-            // for the rest of the cohort.  Eviction order is irrelevant to
-            // the results: rows are bit-identical per device regardless of
-            // batch composition.
-            let mut i = 0;
-            while i < runtimes.len() {
-                if runtimes[i].is_complete() {
-                    let runtime = runtimes.swap_remove(i);
-                    let meta = metas.swap_remove(i);
-                    backends.swap_remove(i);
-                    on_row(Self::feed_summary(meta, &runtime))?;
-                } else {
-                    i += 1;
-                }
-            }
-        }
+/// The metadata of one device in a cohort, kept beside its runtime (which
+/// owns the device's source) until [`summary`] turns both into its row.
+struct RowMeta {
+    /// The device's admission position within its cohort.
+    index: usize,
+    device_id: u64,
+    seed: u64,
+    routine: String,
+    backend: BackendKind,
+    start_epoch: u64,
+    departed: bool,
+}
+
+/// Finalizes one finished device into its summary row.
+fn summary<S: SampleSource>(meta: RowMeta, runtime: &DeviceRuntime<'_, S>) -> DeviceSummary {
+    let tally = runtime.cascade_tally();
+    let tx = runtime.tx_tally();
+    DeviceSummary {
+        device_id: meta.device_id,
+        seed: meta.seed,
+        routine: meta.routine,
+        backend: meta.backend.label().to_string(),
+        faulted_epochs: runtime.source().faulted_captures(),
+        epochs: runtime.epochs(),
+        correct_epochs: runtime.correct_epochs(),
+        early_exit_epochs: tally.early_exit_epochs,
+        early_exit_correct: tally.early_exit_correct,
+        escalated_epochs: tally.escalated_epochs,
+        escalated_correct: tally.escalated_correct,
+        accuracy: runtime.accuracy(),
+        average_current_ua: runtime.average_current_ua(),
+        total_charge_uc: runtime.total_charge().micro_coulombs(),
+        duration_s: runtime.elapsed_s(),
+        residency_s: runtime.residency_seconds().to_vec(),
+        tx_epochs: tx.epochs.to_vec(),
+        tx_bytes: tx.bytes.to_vec(),
+        tx_charge_uc: tx.charge_uc.to_vec(),
+        start_epoch: meta.start_epoch,
+        departed: meta.departed,
     }
+}
+
+/// A closed intake pre-filled with `devices`: a static cohort for
+/// [`FleetScheduler::drive_cohort`].
+fn closed_intake(devices: impl Iterator<Item = ExternalDevice>) -> Receiver<ExternalDevice> {
+    let (sender, intake) = std::sync::mpsc::channel();
+    for device in devices {
+        sender.send(device).expect("the receiver is alive until returned");
+    }
+    intake
 }
 
 /// The retained per-tick buffers of one lockstep cohort (batch pools and
@@ -1364,19 +1139,14 @@ impl Default for LockstepScratch {
     }
 }
 
-/// One configurable fleet run: the unified front door behind
-/// [`FleetScheduler::run`], [`run_shard`](FleetScheduler::run_shard),
-/// [`run_collect`](FleetScheduler::run_collect),
-/// [`run_with_feeds`](FleetScheduler::run_with_feeds) and
-/// [`run_scenarios`](FleetScheduler::run_scenarios), which all survive as
-/// thin wrappers over it.  Built by [`FleetScheduler::builder`].
+/// One configurable fleet run, built by [`FleetScheduler::builder`]: the one
+/// way to run a fleet.
 ///
-/// Every option composes with every other, which the legacy entry points
-/// never allowed: a sharded run can keep its rows, a feed cohort can stream
-/// to a spool, a reactor-fed live fleet can run report-only in bounded
-/// memory.  The report is bit-identical across any combination of worker
-/// count, sharding and row handling because it is a function of the row
-/// multiset only.
+/// Every option composes with every other: a sharded run can keep its rows, a
+/// feed cohort can stream to a spool, a reactor-fed live fleet can run
+/// report-only in bounded memory.  The report is bit-identical across any
+/// combination of worker count, sharding and row handling because it is a
+/// function of the row multiset only.
 ///
 /// ```
 /// # use adasense::prelude::*;
@@ -1384,8 +1154,9 @@ impl Default for LockstepScratch {
 /// # let system = TrainedSystem::train(&exp).unwrap();
 /// let fleet = FleetSpec::new(12, 6.0, 42);
 /// let scheduler = FleetScheduler::new(&exp, &system);
-/// // The builder subsumes `run`, `run_collect`, `run_shard`, ...
+/// // Report only, in bounded memory ...
 /// let report = scheduler.builder().spec(&fleet).run().unwrap().report;
+/// // ... or the same report plus every device's row.
 /// let rows = scheduler.builder().spec(&fleet).collect().run().unwrap();
 /// assert_eq!(rows.report, report);
 /// assert_eq!(rows.summaries.len(), 12);
@@ -1394,7 +1165,7 @@ pub struct FleetRunBuilder<'a, 's> {
     scheduler: FleetScheduler<'a>,
     fleet: Option<&'s FleetSpec>,
     feeds: Vec<ExternalDevice>,
-    intake: Option<std::sync::mpsc::Receiver<ExternalDevice>>,
+    intake: Option<Receiver<ExternalDevice>>,
     range: Option<ShardRange>,
     sink: Option<&'s mut dyn SummarySink>,
     collect: bool,
@@ -1432,12 +1203,6 @@ impl<'a, 's> FleetRunBuilder<'a, 's> {
         self
     }
 
-    /// Appends one externally fed device.
-    pub fn feed(mut self, feed: ExternalDevice) -> Self {
-        self.feeds.push(feed);
-        self
-    }
-
     /// Attaches a *live intake*: devices sent on the channel join the cohort
     /// between lockstep ticks, so the fleet can grow while it runs — the
     /// churn counterpart of the up-front [`feeds`](FleetRunBuilder::feeds)
@@ -1446,7 +1211,7 @@ impl<'a, 's> FleetRunBuilder<'a, 's> {
     /// the report the moment it completes.  The run finishes when the
     /// scenario cohort, the feed chunks *and* the intake have all drained:
     /// drop the sender to close the intake.
-    pub fn intake(mut self, intake: std::sync::mpsc::Receiver<ExternalDevice>) -> Self {
+    pub fn intake(mut self, intake: Receiver<ExternalDevice>) -> Self {
         self.intake = Some(intake);
         self
     }
@@ -1460,9 +1225,11 @@ impl<'a, 's> FleetRunBuilder<'a, 's> {
     }
 
     /// Streams every completed [`DeviceSummary`] row to `sink` (e.g. a
-    /// [`SpoolWriter`](crate::shard::SpoolWriter)).  Rows arrive grouped by
-    /// lockstep chunk but in chunk-*completion* order; consumers needing an
-    /// order must sort by `device_id`.  Without a sink, rows that are not
+    /// [`SpoolWriter`](crate::shard::SpoolWriter)).  A lockstep chunk's rows
+    /// arrive together, in admission order, when the whole chunk has
+    /// finished; chunks arrive in *completion* order, so consumers needing an
+    /// order must sort by `device_id`.  Intake rows arrive one by one as
+    /// their devices finish.  Without a sink, rows that are not
     /// [`collect`](FleetRunBuilder::collect)ed are dropped after folding
     /// into the report, keeping memory bounded.
     pub fn sink(mut self, sink: &'s mut dyn SummarySink) -> Self {
@@ -1472,23 +1239,25 @@ impl<'a, 's> FleetRunBuilder<'a, 's> {
 
     /// Keeps every [`DeviceSummary`] row in RAM: the returned
     /// [`FleetRun::summaries`] lists the scenario cohort first (in device-id
-    /// order), then the feed cohort in the order given.  Memory grows with
-    /// the cohort; leave off for large fleets.
+    /// order), then the feed cohort in the order given, then intake devices
+    /// in completion order.  Memory grows with the cohort; leave off for
+    /// large fleets.
     pub fn collect(mut self) -> Self {
         self.collect = true;
         self
     }
 
-    /// Runs the configured fleet: scenario chunks and feed chunks share one
-    /// worker pool, every completed row folds into the mergeable report (and
-    /// reaches the sink, if any), and the report is bit-identical for any
-    /// worker count.
+    /// Runs the configured fleet: scenario chunks, feed chunks and the live
+    /// intake share one worker pool, every completed row folds into the
+    /// mergeable report (and reaches the sink, if any), and the report is
+    /// bit-identical for any worker count.
     ///
     /// # Errors
     ///
-    /// Returns [`AdaSenseError::InvalidSpec`] if no spec was given, for
-    /// degenerate specs (including no devices in either cohort), or for a
-    /// shard range outside the fleet; propagates per-device and sink errors.
+    /// Returns [`AdaSenseError::InvalidSpec`] if no spec was given, for a
+    /// spec [`FleetSpec::validate`] rejects, for a run with no device in any
+    /// cohort, or for a shard range outside the fleet; propagates per-device
+    /// and sink errors.
     pub fn run(self) -> Result<FleetRun, AdaSenseError> {
         let Self { scheduler, fleet, feeds, intake, range, sink, collect } = self;
         let Some(fleet) = fleet else {
@@ -1496,18 +1265,11 @@ impl<'a, 's> FleetRunBuilder<'a, 's> {
                 "FleetRunBuilder::run needs a fleet spec (FleetRunBuilder::spec)",
             ));
         };
-        if fleet.devices > 0 {
-            fleet.validate()?;
-        } else {
-            if feeds.is_empty() && intake.is_none() {
-                return Err(AdaSenseError::invalid_spec(
-                    "a fleet needs at least one device (scenario-driven or external)",
-                ));
-            }
-            if fleet.lockstep_devices == 0 {
-                return Err(AdaSenseError::invalid_spec("lockstep_devices must be non-zero"));
-            }
-            fleet.population.validate()?;
+        fleet.validate()?;
+        if fleet.devices == 0 && feeds.is_empty() && intake.is_none() {
+            return Err(AdaSenseError::invalid_spec(
+                "a fleet needs at least one device (scenario-driven or external)",
+            ));
         }
         let range = range.unwrap_or_else(|| ShardRange::whole(fleet.devices));
         if range.start > range.end || range.end > fleet.devices {
@@ -1520,23 +1282,20 @@ impl<'a, 's> FleetRunBuilder<'a, 's> {
         let chunks: Vec<std::ops::Range<u64>> = (0..range.len().div_ceil(chunk))
             .map(|c| (range.start + c * chunk)..(range.start + (c + 1) * chunk).min(range.end))
             .collect();
-        // Feed sources are stateful and owned, so each feed chunk sits in a
-        // take-once slot its job claims exactly once.
-        let mut feed_chunks: Vec<Mutex<Option<Vec<ExternalDevice>>>> = Vec::new();
-        let mut feeds = feeds.into_iter();
-        loop {
-            let group: Vec<ExternalDevice> = feeds.by_ref().take(fleet.lockstep_devices).collect();
-            if group.is_empty() {
-                break;
-            }
-            feed_chunks.push(Mutex::new(Some(group)));
+        // Scenario chunks build their devices inside their jobs, keeping
+        // memory bounded.  Feed chunks and the live intake are owned
+        // receivers, so each sits in a take-once slot its job claims exactly
+        // once: one closed intake per feed chunk, then the live intake.
+        let mut feeds = feeds.into_iter().peekable();
+        let mut intakes = Vec::new();
+        while feeds.peek().is_some() {
+            let group = feeds.by_ref().take(fleet.lockstep_devices);
+            intakes.push(Mutex::new(Some(closed_intake(group))));
         }
+        let live = intake.is_some();
+        intakes.extend(intake.map(|intake| Mutex::new(Some(intake))));
         let scenario_jobs = chunks.len();
-        let feed_jobs = feed_chunks.len();
-        // The intake receiver is stateful and owned like a feed chunk, so it
-        // sits in the same kind of take-once slot.
-        let intake_jobs = usize::from(intake.is_some());
-        let intake = Mutex::new(intake);
+        let jobs = scenario_jobs + intakes.len();
         let mut discard = DiscardSink;
         let sink: &mut dyn SummarySink = sink.unwrap_or(&mut discard);
         // The aggregate and the sink share one lock: rows are observed and
@@ -1554,18 +1313,27 @@ impl<'a, 's> FleetRunBuilder<'a, 's> {
             }
             Ok(())
         };
-        let jobs = scenario_jobs + feed_jobs + intake_jobs;
         let kept = run_jobs(scheduler.worker_threads(), jobs, |i| {
-            if i >= scenario_jobs + feed_jobs {
-                // The intake job folds each row in as its device completes,
-                // so departures are visible before the run ends.
-                let intake = intake
+            let cohort = if i < scenario_jobs {
+                closed_intake(chunks[i].clone().map(|device_id| {
+                    let plan = fleet.device_plan(device_id);
+                    ExternalDevice::new(device_id, scheduler.device_source(fleet, &plan))
+                        .with_metadata(plan.seed, plan.routine)
+                        .with_backend(plan.backend)
+                        .with_duration(plan.scenario.duration_s())
+                }))
+            } else {
+                intakes[i - scenario_jobs]
                     .lock()
-                    .expect("no worker panicked holding the intake slot")
+                    .expect("no worker panicked holding an intake slot")
                     .take()
-                    .expect("the intake is claimed exactly once");
+                    .expect("each intake is claimed exactly once")
+            };
+            if live && i == jobs - 1 {
+                // The live intake folds each row in as its device completes,
+                // so departures are visible before the run ends.
                 let mut rows = Vec::new();
-                scheduler.run_intake_churn(fleet, intake, &mut |row| {
+                scheduler.drive_cohort(fleet, cohort, &mut |_, row| {
                     observe(std::slice::from_ref(&row))?;
                     if collect {
                         rows.push(row);
@@ -1574,16 +1342,16 @@ impl<'a, 's> FleetRunBuilder<'a, 's> {
                 })?;
                 return Ok(rows);
             }
-            let rows = if i < scenario_jobs {
-                scheduler.run_chunk(fleet, chunks[i].clone())
-            } else {
-                let group = feed_chunks[i - scenario_jobs]
-                    .lock()
-                    .expect("no worker panicked holding a feed slot")
-                    .take()
-                    .expect("each feed chunk is claimed exactly once");
-                scheduler.run_feed_chunk(fleet, group)
-            }?;
+            // A static chunk's devices may finish on different ticks; its
+            // rows still reach the aggregate and sink together, in admission
+            // order, once the whole chunk has finished.
+            let mut finished = Vec::new();
+            scheduler.drive_cohort(fleet, cohort, &mut |index, row| {
+                finished.push((index, row));
+                Ok(())
+            })?;
+            finished.sort_unstable_by_key(|(index, _)| *index);
+            let rows: Vec<DeviceSummary> = finished.into_iter().map(|(_, row)| row).collect();
             observe(&rows)?;
             Ok(if collect { rows } else { Vec::new() })
         })?;
@@ -1592,27 +1360,6 @@ impl<'a, 's> FleetRunBuilder<'a, 's> {
         Ok(FleetRun {
             report: FleetReport { controller: fleet.controller.label(), stats },
             summaries,
-        })
-    }
-
-    /// Runs an explicit list of `(scenario, controller)` simulations over the
-    /// worker pool, returning their reports in job order.  Only the
-    /// scheduler's worker count applies here; the fleet-shaped options
-    /// (`spec`/`feeds`/`shard`/`sink`/`collect`) do not.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first simulation error encountered.
-    pub fn sweep(
-        self,
-        jobs: &[(ScenarioSpec, ControllerKind)],
-    ) -> Result<Vec<SimulationReport>, AdaSenseError> {
-        let scheduler = self.scheduler;
-        run_jobs(scheduler.worker_threads(), jobs.len(), |i| {
-            let (scenario, controller) = &jobs[i];
-            Simulator::new(scheduler.spec, scheduler.system)
-                .with_controller(*controller)
-                .run(scenario.clone())
         })
     }
 }
@@ -1732,15 +1479,17 @@ mod tests {
     fn fleet_runs_are_bit_identical_across_worker_counts() {
         let (spec, system) = shared_system();
         let fleet = FleetSpec { lockstep_devices: 5, ..FleetSpec::new(12, 24.0, 7) };
-        let single = FleetScheduler::new(spec, system).with_threads(1).run(&fleet).unwrap();
+        let scheduler = FleetScheduler::new(spec, system);
+        let single = scheduler.with_threads(1).builder().spec(&fleet).run().unwrap();
+        assert!(single.summaries.is_empty(), "no collect() means no rows kept");
+        let single = single.report;
         for threads in [4, 8] {
-            let parallel =
-                FleetScheduler::new(spec, system).with_threads(threads).run(&fleet).unwrap();
-            assert_eq!(single, parallel, "{threads}-thread run must be bit-identical");
-            assert_eq!(single.encode(), parallel.encode(), "encodings must match bytewise");
+            let parallel = scheduler.with_threads(threads).builder().spec(&fleet).run().unwrap();
+            assert_eq!(single, parallel.report, "{threads}-thread run must be bit-identical");
+            assert_eq!(single.encode(), parallel.report.encode(), "encodings must match bytewise");
         }
         assert_eq!(single.len(), 12);
-        let collected = FleetScheduler::new(spec, system).run_collect(&fleet).unwrap();
+        let collected = scheduler.builder().spec(&fleet).collect().run().unwrap();
         assert_eq!(collected.report, single, "collecting rows must not change the report");
         assert!(collected.summaries.iter().enumerate().all(|(i, d)| d.device_id == i as u64));
     }
@@ -1749,20 +1498,21 @@ mod tests {
     fn lockstep_chunking_does_not_change_the_results() {
         let (spec, system) = shared_system();
         let scheduler = FleetScheduler::new(spec, system).with_threads(2);
-        let chunked = scheduler
-            .run(&FleetSpec { lockstep_devices: 3, ..FleetSpec::new(8, 20.0, 11) })
-            .unwrap();
-        let unchunked = scheduler
-            .run(&FleetSpec { lockstep_devices: 1, ..FleetSpec::new(8, 20.0, 11) })
-            .unwrap();
-        assert_eq!(chunked, unchunked, "batching must not change any device's outcome");
+        let chunked = FleetSpec { lockstep_devices: 3, ..FleetSpec::new(8, 20.0, 11) };
+        let unchunked = FleetSpec { lockstep_devices: 1, ..chunked.clone() };
+        assert_eq!(
+            scheduler.builder().spec(&chunked).run().unwrap(),
+            scheduler.builder().spec(&unchunked).run().unwrap(),
+            "batching must not change any device's outcome"
+        );
     }
 
     #[test]
     fn fleet_devices_match_standalone_simulations() {
         let (spec, system) = shared_system();
         let fleet = FleetSpec::new(4, 20.0, 3);
-        let run = FleetScheduler::new(spec, system).with_threads(2).run_collect(&fleet).unwrap();
+        let scheduler = FleetScheduler::new(spec, system).with_threads(2);
+        let run = scheduler.builder().spec(&fleet).collect().run().unwrap();
         for device in &run.summaries {
             let scenario = ScenarioSpec::random(fleet.setting, fleet.duration_s, device.seed);
             let standalone = Simulator::new(spec, system)
@@ -1780,7 +1530,8 @@ mod tests {
         let (spec, system) = shared_system();
         let fleet =
             FleetSpec { controller: ControllerKind::IntensityBased, ..FleetSpec::new(3, 12.0, 5) };
-        let run = FleetScheduler::new(spec, system).with_threads(2).run_collect(&fleet).unwrap();
+        let scheduler = FleetScheduler::new(spec, system).with_threads(2);
+        let run = scheduler.builder().spec(&fleet).collect().run().unwrap();
         assert_eq!(run.report.len(), 3);
         assert!(run.summaries.iter().all(|d| d.epochs > 0));
     }
@@ -1811,11 +1562,13 @@ mod tests {
     fn degenerate_fleets_are_rejected() {
         let (spec, system) = shared_system();
         let scheduler = FleetScheduler::new(spec, system);
-        assert!(scheduler.run(&FleetSpec::new(0, 30.0, 1)).is_err());
-        assert!(scheduler.run(&FleetSpec::new(4, 1.0, 1)).is_err());
-        assert!(scheduler
-            .run(&FleetSpec { lockstep_devices: 0, ..FleetSpec::new(4, 30.0, 1) })
-            .is_err());
+        for fleet in [
+            FleetSpec::new(0, 30.0, 1),
+            FleetSpec::new(4, 1.0, 1),
+            FleetSpec { lockstep_devices: 0, ..FleetSpec::new(4, 30.0, 1) },
+        ] {
+            assert!(scheduler.builder().spec(&fleet).run().is_err(), "{fleet:?} must be rejected");
+        }
     }
 
     #[test]
@@ -1835,7 +1588,7 @@ mod tests {
         let (spec, system) = shared_system();
         let fleet = FleetSpec::new(4, 20.0, 3);
         let scheduler = FleetScheduler::new(spec, system).with_threads(2);
-        let baseline = scheduler.run_collect(&fleet).unwrap();
+        let baseline = scheduler.builder().spec(&fleet).collect().run().unwrap();
 
         // Record every device's stream, then replay the recordings as a
         // channel-fed cohort running alongside the same scenario cohort.
@@ -1862,7 +1615,7 @@ mod tests {
                     .with_backend(plan.backend),
             );
         }
-        let combined = scheduler.run_with_feeds(&fleet, feeds).unwrap();
+        let combined = scheduler.builder().spec(&fleet).feeds(feeds).collect().run().unwrap();
         for feeder in feeders {
             feeder.join().expect("feeder thread").expect("all batches accepted");
         }
@@ -1917,9 +1670,9 @@ mod tests {
         let (mut tx, source) = telemetry_channel(2);
         let feeder = std::thread::spawn(move || tx.send_trace(&trace));
         let empty = FleetSpec { devices: 0, ..fleet };
-        let report = scheduler
-            .run_with_feeds(&empty, vec![ExternalDevice::new(7, source)])
-            .expect("feed-only fleets are valid");
+        let feeds = vec![ExternalDevice::new(7, source)];
+        let report =
+            scheduler.builder().spec(&empty).feeds(feeds).collect().run().expect("feed-only runs");
         feeder.join().expect("feeder thread").expect("all batches accepted");
         assert_eq!(report.summaries.len(), 1);
         assert_eq!(report.summaries[0].device_id, 7);
@@ -1932,7 +1685,7 @@ mod tests {
         let (spec, system) = shared_system();
         let scheduler = FleetScheduler::new(spec, system);
         let empty = FleetSpec { devices: 0, ..FleetSpec::new(1, 12.0, 5) };
-        assert!(scheduler.run_with_feeds(&empty, Vec::new()).is_err());
+        assert!(scheduler.builder().spec(&empty).run().is_err());
     }
 
     #[test]
@@ -1940,14 +1693,14 @@ mod tests {
         let (spec, system) = shared_system();
         let fleet = FleetSpec { lockstep_devices: 4, ..FleetSpec::new(12, 20.0, 7) };
         let scheduler = FleetScheduler::new(spec, system).with_threads(2);
-        let monolithic = scheduler.run(&fleet).unwrap();
+        let monolithic = scheduler.builder().spec(&fleet).run().unwrap().report;
         for shards in [1, 3, 4, 6] {
             let ranges = fleet.shards(shards);
             assert_eq!(ranges.len(), shards);
             assert_eq!(ranges.iter().map(ShardRange::len).sum::<u64>(), fleet.devices);
             let mut merged = FleetReport::new(fleet.controller.label());
             for range in ranges {
-                let part = scheduler.run_shard(&fleet, range, &mut DiscardSink).unwrap();
+                let part = scheduler.builder().spec(&fleet).shard(range).run().unwrap().report;
                 merged.merge(&part).unwrap();
             }
             assert_eq!(merged, monolithic, "{shards} shards must merge into the monolithic run");
@@ -1956,7 +1709,7 @@ mod tests {
     }
 
     #[test]
-    fn run_shard_spools_every_row() {
+    fn sinks_spool_every_row() {
         use crate::shard::{SpoolReader, SpoolWriter};
 
         let (spec, system) = shared_system();
@@ -1964,17 +1717,16 @@ mod tests {
         let scheduler = FleetScheduler::new(spec, system).with_threads(4);
         let mut bytes = Vec::new();
         let mut writer = SpoolWriter::new(&mut bytes).unwrap();
-        let report =
-            scheduler.run_shard(&fleet, ShardRange::whole(fleet.devices), &mut writer).unwrap();
+        let run = scheduler.builder().spec(&fleet).sink(&mut writer).run().unwrap();
         assert_eq!(writer.rows(), fleet.devices);
         writer.finish().unwrap();
 
         let mut rows: Vec<DeviceSummary> =
             SpoolReader::new(&bytes[..]).unwrap().collect::<Result<_, _>>().unwrap();
         rows.sort_by_key(|r| r.device_id);
-        let collected = scheduler.run_collect(&fleet).unwrap();
+        let collected = scheduler.builder().spec(&fleet).collect().run().unwrap();
         assert_eq!(rows, collected.summaries, "spooled rows must round-trip bit-exactly");
-        assert_eq!(report, collected.report);
+        assert_eq!(run.report, collected.report);
     }
 
     #[test]
@@ -1982,8 +1734,9 @@ mod tests {
         let (spec, system) = shared_system();
         let fleet =
             FleetSpec { tx_ratio: Some(2), lockstep_devices: 4, ..FleetSpec::new(8, 24.0, 17) };
-        let single = FleetScheduler::new(spec, system).with_threads(1).run(&fleet).unwrap();
-        let parallel = FleetScheduler::new(spec, system).with_threads(4).run(&fleet).unwrap();
+        let scheduler = FleetScheduler::new(spec, system);
+        let single = scheduler.with_threads(1).builder().spec(&fleet).run().unwrap().report;
+        let parallel = scheduler.with_threads(4).builder().spec(&fleet).run().unwrap().report;
         assert_eq!(single, parallel, "tx fleets must stay worker-count deterministic");
         assert_eq!(single.encode(), parallel.encode(), "encodings must match bytewise");
         // Every classified epoch transmits under exactly one policy.
@@ -1993,9 +1746,8 @@ mod tests {
         let text = single.to_table_string();
         assert!(text.contains("transmission breakdown:"), "missing tx section in:\n{text}");
         // A radio-off fleet keeps the section (and the counters) out entirely.
-        let off = FleetScheduler::new(spec, system)
-            .run(&FleetSpec { tx_ratio: None, ..fleet.clone() })
-            .unwrap();
+        let off = FleetSpec { tx_ratio: None, ..fleet.clone() };
+        let off = scheduler.builder().spec(&off).run().unwrap().report;
         assert_eq!(off.stats.tx_epochs.iter().sum::<u64>(), 0);
         assert!(!off.to_table_string().contains("transmission breakdown:"));
         // The radio only ever adds charge on top of the sensing cost.
@@ -2010,12 +1762,13 @@ mod tests {
         let fleet =
             FleetSpec { tx_ratio: Some(4), lockstep_devices: 4, ..FleetSpec::new(12, 24.0, 23) };
         let scheduler = FleetScheduler::new(spec, system).with_threads(2);
-        let monolithic = scheduler.run(&fleet).unwrap();
+        let monolithic = scheduler.builder().spec(&fleet).run().unwrap().report;
         let mut bytes = Vec::new();
         let mut writer = SpoolWriter::new(&mut bytes).unwrap();
         let mut merged = FleetReport::new(fleet.controller.label());
         for range in fleet.shards(3) {
-            merged.merge(&scheduler.run_shard(&fleet, range, &mut writer).unwrap()).unwrap();
+            let part = scheduler.builder().spec(&fleet).shard(range).sink(&mut writer).run();
+            merged.merge(&part.unwrap().report).unwrap();
         }
         writer.finish().unwrap();
         assert_eq!(merged.encode(), monolithic.encode(), "shards must merge bytewise");
@@ -2033,13 +1786,21 @@ mod tests {
     fn zero_tx_ratio_is_rejected() {
         let fleet = FleetSpec { tx_ratio: Some(0), ..FleetSpec::new(4, 30.0, 1) };
         assert!(fleet.validate().is_err(), "a zero compression ratio must not validate");
+        // A feed-only fleet gets the same checks as a scenario-driven one.
+        let (spec, system) = shared_system();
+        let scheduler = FleetScheduler::new(spec, system);
+        let source = scheduler.device_source(&fleet, &fleet.device_plan(0));
+        let feeds = vec![ExternalDevice::new(0, source).with_duration(4.0)];
+        let feed_only = FleetSpec { devices: 0, ..fleet };
+        let run = scheduler.builder().spec(&feed_only).feeds(feeds).run();
+        assert!(run.is_err(), "a feed-only fleet must not run at ratio 0");
     }
 
     #[test]
     fn reports_encode_and_decode_round_trip() {
         let (spec, system) = shared_system();
         let fleet = FleetSpec::new(5, 20.0, 9);
-        let report = FleetScheduler::new(spec, system).run(&fleet).unwrap();
+        let report = FleetScheduler::new(spec, system).builder().spec(&fleet).run().unwrap().report;
         let bytes = report.encode();
         let decoded = FleetReport::decode(&bytes).unwrap();
         assert_eq!(decoded, report);
@@ -2063,7 +1824,7 @@ mod tests {
         let fleet = FleetSpec::new(4, 20.0, 3);
         let scheduler = FleetScheduler::new(spec, system);
         let range = ShardRange { start: 0, end: fleet.devices + 1 };
-        assert!(scheduler.run_shard(&fleet, range, &mut DiscardSink).is_err());
+        assert!(scheduler.builder().spec(&fleet).shard(range).run().is_err());
     }
 
     #[test]
@@ -2091,8 +1852,9 @@ mod tests {
             lockstep_devices: 4,
             ..FleetSpec::new(10, 24.0, 13)
         };
-        let single = FleetScheduler::new(spec, system).with_threads(1).run(&fleet).unwrap();
-        let parallel = FleetScheduler::new(spec, system).with_threads(4).run(&fleet).unwrap();
+        let scheduler = FleetScheduler::new(spec, system);
+        let single = scheduler.with_threads(1).builder().spec(&fleet).run().unwrap().report;
+        let parallel = scheduler.with_threads(4).builder().spec(&fleet).run().unwrap().report;
         assert_eq!(single, parallel, "population fleets must stay worker-count deterministic");
         assert!(
             single.stats.faulted_epochs > 0,
@@ -2117,8 +1879,9 @@ mod tests {
             lockstep_devices: 4,
             ..FleetSpec::new(12, 24.0, 21)
         };
-        let single = FleetScheduler::new(spec, system).with_threads(1).run(&fleet).unwrap();
-        let parallel = FleetScheduler::new(spec, system).with_threads(4).run(&fleet).unwrap();
+        let scheduler = FleetScheduler::new(spec, system);
+        let single = scheduler.with_threads(1).builder().spec(&fleet).run().unwrap().report;
+        let parallel = scheduler.with_threads(4).builder().spec(&fleet).run().unwrap().report;
         assert_eq!(single, parallel, "mixed-backend fleets must stay worker-count deterministic");
         let backends: Vec<&str> = single.stats.backends.keys().map(String::as_str).collect();
         assert_eq!(
@@ -2144,8 +1907,9 @@ mod tests {
             lockstep_devices: 4,
             ..FleetSpec::new(12, 24.0, 21)
         };
-        let single = FleetScheduler::new(spec, system).with_threads(1).run(&fleet).unwrap();
-        let parallel = FleetScheduler::new(spec, system).with_threads(4).run(&fleet).unwrap();
+        let scheduler = FleetScheduler::new(spec, system);
+        let single = scheduler.with_threads(1).builder().spec(&fleet).run().unwrap().report;
+        let parallel = scheduler.with_threads(4).builder().spec(&fleet).run().unwrap().report;
         assert_eq!(single, parallel, "cascade cohorts must stay worker-count deterministic");
         assert_eq!(single.encode(), parallel.encode(), "encodings must match bytewise");
         let backends: Vec<&str> = single.stats.backends.keys().map(String::as_str).collect();
@@ -2170,7 +1934,8 @@ mod tests {
                 .with_backend(crate::scenario::BackendSpec::Uniform(BackendKind::Cascade)),
             ..FleetSpec::new(3, 20.0, 3)
         };
-        let run = FleetScheduler::new(spec, system).with_threads(2).run_collect(&fleet).unwrap();
+        let scheduler = FleetScheduler::new(spec, system).with_threads(2);
+        let run = scheduler.builder().spec(&fleet).collect().run().unwrap();
         for device in &run.summaries {
             assert_eq!(device.backend, "cascade");
             assert_eq!(
@@ -2200,7 +1965,8 @@ mod tests {
                 .with_backend(crate::scenario::BackendSpec::Uniform(BackendKind::Int8)),
             ..FleetSpec::new(3, 20.0, 3)
         };
-        let run = FleetScheduler::new(spec, system).with_threads(2).run_collect(&fleet).unwrap();
+        let scheduler = FleetScheduler::new(spec, system).with_threads(2);
+        let run = scheduler.builder().spec(&fleet).collect().run().unwrap();
         for device in &run.summaries {
             assert_eq!(device.backend, "int8");
             let scenario = ScenarioSpec::random(fleet.setting, fleet.duration_s, device.seed);
@@ -2219,15 +1985,15 @@ mod tests {
         // Switching a cohort's backend must change classifications only —
         // seeds, routines and schedules (and thus durations) stay identical.
         let (spec, system) = shared_system();
+        let scheduler = FleetScheduler::new(spec, system);
         let base = FleetSpec::new(6, 20.0, 17);
-        let f64_fleet = FleetScheduler::new(spec, system).run_collect(&base).unwrap();
-        let int8_fleet = FleetScheduler::new(spec, system)
-            .run_collect(&FleetSpec {
-                population: PopulationSpec::legacy()
-                    .with_backend(crate::scenario::BackendSpec::Uniform(BackendKind::Int8)),
-                ..base
-            })
-            .unwrap();
+        let int8 = FleetSpec {
+            population: PopulationSpec::legacy()
+                .with_backend(crate::scenario::BackendSpec::Uniform(BackendKind::Int8)),
+            ..base.clone()
+        };
+        let f64_fleet = scheduler.builder().spec(&base).collect().run().unwrap();
+        let int8_fleet = scheduler.builder().spec(&int8).collect().run().unwrap();
         for (a, b) in f64_fleet.summaries.iter().zip(&int8_fleet.summaries) {
             assert_eq!(a.seed, b.seed);
             assert_eq!(a.routine, b.routine);
@@ -2251,7 +2017,7 @@ mod tests {
         let (spec, system) = shared_system();
         let mut fleet = FleetSpec::new(2, 20.0, 1);
         fleet.population.backend = crate::scenario::BackendSpec::Mixed { int8_fraction: 1.5 };
-        assert!(FleetScheduler::new(spec, system).run(&fleet).is_err());
+        assert!(FleetScheduler::new(spec, system).builder().spec(&fleet).run().is_err());
     }
 
     #[test]
@@ -2259,7 +2025,8 @@ mod tests {
         let (spec, system) = shared_system();
         let fleet = FleetSpec::new(4, 20.0, 3);
         assert_eq!(fleet.population, crate::scenario::PopulationSpec::legacy());
-        let run = FleetScheduler::new(spec, system).with_threads(2).run_collect(&fleet).unwrap();
+        let scheduler = FleetScheduler::new(spec, system).with_threads(2);
+        let run = scheduler.builder().spec(&fleet).collect().run().unwrap();
         for device in &run.summaries {
             assert_eq!(device.routine, "dwell-Medium");
             assert_eq!(device.faulted_epochs, 0, "legacy populations are fault-free");
@@ -2271,15 +2038,15 @@ mod tests {
         let (spec, system) = shared_system();
         let mut fleet = FleetSpec::new(4, 30.0, 1);
         fleet.population.prior.mix = vec![(crate::scenario::RoutinePreset::OfficeDay, -2.0)];
-        assert!(FleetScheduler::new(spec, system).run(&fleet).is_err());
+        assert!(FleetScheduler::new(spec, system).builder().spec(&fleet).run().is_err());
     }
 
     #[test]
     fn report_rendering_mentions_every_spot_state() {
         let (spec, system) = shared_system();
-        let report =
-            FleetScheduler::new(spec, system).with_threads(2).run(&FleetSpec::new(4, 20.0, 9));
-        let text = report.unwrap().to_table_string();
+        let fleet = FleetSpec::new(4, 20.0, 9);
+        let report = FleetScheduler::new(spec, system).with_threads(2).builder().spec(&fleet).run();
+        let text = report.unwrap().report.to_table_string();
         for config in SensorConfig::paper_pareto_front() {
             assert!(text.contains(&config.label()), "missing {config} in:\n{text}");
         }
@@ -2293,30 +2060,13 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_every_legacy_entry_point() {
-        let (spec, system) = shared_system();
-        let fleet = FleetSpec::new(5, 20.0, 11);
-        let scheduler = FleetScheduler::new(spec, system).with_threads(2);
-
-        let legacy_report = scheduler.run(&fleet).unwrap();
-        let via_builder = scheduler.builder().spec(&fleet).run().unwrap();
-        assert_eq!(via_builder.report, legacy_report);
-        assert!(via_builder.summaries.is_empty(), "no collect() means no rows kept");
-
-        let legacy_rows = scheduler.run_collect(&fleet).unwrap();
-        let collected = scheduler.builder().spec(&fleet).collect().run().unwrap();
-        assert_eq!(collected, legacy_rows);
-    }
-
-    #[test]
     fn builder_composes_shard_sink_and_collect() {
         let (spec, system) = shared_system();
         let fleet = FleetSpec::new(6, 20.0, 7);
         let scheduler = FleetScheduler::new(spec, system).with_threads(2);
-        let whole = scheduler.run_collect(&fleet).unwrap();
+        let whole = scheduler.builder().spec(&fleet).collect().run().unwrap();
 
-        // Sharded + collected + spooled in one run: the legacy API never
-        // allowed this combination.
+        // Sharded + collected + spooled in one run.
         let range = ShardRange { start: 2, end: 5 };
         let mut spool = Vec::new();
         let shard = {
@@ -2343,22 +2093,45 @@ mod tests {
         let spooled: Vec<DeviceSummary> =
             crate::shard::SpoolReader::new(&spool[..]).unwrap().collect::<Result<_, _>>().unwrap();
         assert_eq!(spooled.len(), 3, "the sink saw the same rows");
-        assert_eq!(shard.report, scheduler.run_shard(&fleet, range, &mut DiscardSink).unwrap());
+        assert_eq!(
+            shard.report,
+            scheduler.builder().spec(&fleet).shard(range).run().unwrap().report
+        );
     }
 
     #[test]
-    fn builder_sweep_matches_run_scenarios() {
+    fn static_chunks_reach_the_sink_together_in_admission_order() {
+        /// Records the device id of every pushed row, in push order.
+        struct Pushes(Vec<u64>);
+        impl SummarySink for Pushes {
+            fn push(&mut self, row: &DeviceSummary) -> Result<(), AdaSenseError> {
+                self.0.push(row.device_id);
+                Ok(())
+            }
+        }
+
         let (spec, system) = shared_system();
+        let fleet = FleetSpec { devices: 0, lockstep_devices: 3, ..FleetSpec::new(1, 20.0, 5) };
         let scheduler = FleetScheduler::new(spec, system).with_threads(2);
-        let jobs = vec![
-            (ScenarioSpec::sit_then_walk(20.0, 20.0), ControllerKind::StaticHigh),
-            (
-                ScenarioSpec::sit_then_walk(15.0, 25.0),
-                ControllerKind::Spot { stability_threshold: 2 },
-            ),
-        ];
-        let legacy = scheduler.run_scenarios(&jobs).unwrap();
-        let via_builder = scheduler.builder().sweep(&jobs).unwrap();
-        assert_eq!(via_builder, legacy);
+        // Two feed chunks of three devices, each device bounded to its own
+        // length, so a chunk's devices finish on different ticks and not in
+        // admission order.
+        let durations = [9.0, 5.0, 7.0, 6.0, 8.0, 4.0];
+        let feeds = (0..6)
+            .map(|k| {
+                let source = scheduler.device_source(&fleet, &fleet.device_plan(k));
+                ExternalDevice::new(10 + k, source).with_duration(durations[k as usize])
+            })
+            .collect();
+        let mut pushes = Pushes(Vec::new());
+        let run = scheduler.builder().spec(&fleet).feeds(feeds).sink(&mut pushes).collect().run();
+        let lengths: Vec<f64> = run.unwrap().summaries.iter().map(|row| row.duration_s).collect();
+        assert_eq!(lengths, durations, "every device ran its own length");
+        let (first, second) = ([10, 11, 12], [13, 14, 15]);
+        assert!(
+            pushes.0 == [first, second].concat() || pushes.0 == [second, first].concat(),
+            "each chunk's rows must arrive together, in admission order: {:?}",
+            pushes.0
+        );
     }
 }

@@ -60,19 +60,9 @@ pub mod serve;
 /// Magic bytes opening every telemetry stream.
 pub const WIRE_MAGIC: [u8; 4] = *b"ADSN";
 
-/// Wire-format version this build writes (see `docs/WIRE_FORMAT.md` for the
-/// versioning rules).  v2 added the RESUME frame kind; v3 added the
-/// COMPRESSED batch frame (a seeded sparse-projection payload); v4 added the
-/// JOIN handshake frame (device id + initial configuration + start epoch)
-/// that opens a served device stream for fleet-churn bookkeeping.  Streams of
-/// older versions — which by construction contain none of the newer frame
-/// kinds — decode identically, so readers accept all of them.
+/// Wire-format version this build writes, and the only one it reads (see
+/// `docs/WIRE_FORMAT.md` for the versioning rules).
 pub const WIRE_VERSION: u16 = 4;
-
-/// Wire-format versions readers accept.  Every frame an older stream can
-/// carry means the same thing in v4, so accepting all of them costs nothing;
-/// anything else is rejected (no minor-version negotiation).
-const ACCEPTED_VERSIONS: [u16; 4] = [1, 2, 3, WIRE_VERSION];
 
 /// Frame-kind tag of a sample batch.
 const KIND_BATCH: u8 = 0x01;
@@ -81,13 +71,13 @@ const KIND_END: u8 = 0x02;
 /// Frame-kind tag of a shard's encoded fleet report (the shard→coordinator
 /// transport of the `fleet_shard` binary).
 const KIND_REPORT: u8 = 0x03;
-/// Frame-kind tag of a resume request (client→server on reconnect; v2).
+/// Frame-kind tag of a resume request (client→server on reconnect).
 const KIND_RESUME: u8 = 0x04;
 /// Frame-kind tag of a compressed sample batch: a seeded sparse random
-/// projection of the window instead of its raw samples (v3).
+/// projection of the window instead of its raw samples.
 const KIND_COMPRESSED: u8 = 0x05;
-/// Frame-kind tag of the JOIN handshake that opens a served device stream
-/// (v4): device id, the device's initial sensor configuration, and the fleet
+/// Frame-kind tag of the JOIN handshake that opens a served device stream:
+/// device id, the device's initial sensor configuration, and the fleet
 /// epoch at which the device joined the cohort.
 const KIND_JOIN: u8 = 0x06;
 
@@ -275,7 +265,7 @@ impl FrameEncoder {
         &self.buf
     }
 
-    /// Encodes one join-handshake frame (v4): the first frame of a served
+    /// Encodes one join-handshake frame: the first frame of a served
     /// device stream, announcing which device the stream carries, the
     /// device's initial sensor configuration, and the fleet epoch at which
     /// the device joined the cohort (`0` for a device present from run
@@ -291,7 +281,7 @@ impl FrameEncoder {
         &self.buf
     }
 
-    /// Encodes one length-prefixed compressed-batch frame (v3): the window is
+    /// Encodes one length-prefixed compressed-batch frame: the window is
     /// replaced by a seeded sparse random projection of each axis, compressed
     /// roughly `ratio`× (see [`SparseProjection`]).  The decoder reconstructs
     /// the window deterministically from the carried seed, so compressed
@@ -415,7 +405,7 @@ pub enum FrameKind {
         /// Index of the first batch the client has not yet received.
         next_batch: u64,
     },
-    /// The join handshake opening a served device stream (v4): metadata the
+    /// The join handshake opening a served device stream: metadata the
     /// consuming fleet needs to account a churned device correctly.
     Join {
         /// The device this stream carries.
@@ -516,9 +506,9 @@ fn validate_stream_header(head: &[u8; 8]) -> Result<(), AdaSenseError> {
         )));
     }
     let version = u16::from_le_bytes([head[4], head[5]]);
-    if !ACCEPTED_VERSIONS.contains(&version) {
+    if version != WIRE_VERSION {
         return Err(AdaSenseError::ingest(format!(
-            "unsupported wire-format version {version} (this build speaks {ACCEPTED_VERSIONS:?})"
+            "unsupported wire-format version {version} (this build speaks {WIRE_VERSION})"
         )));
     }
     let flags = u16::from_le_bytes([head[6], head[7]]);
@@ -1457,7 +1447,7 @@ impl SocketSource {
                     )
                 }
                 Ok(FrameKind::Join { .. }) => {
-                    // v4 servers open every stream with a join handshake; a
+                    // Servers open every stream with a join handshake; a
                     // plain replay source has no cohort to register it with,
                     // so the metadata is simply skipped.
                     continue;
@@ -1616,9 +1606,11 @@ mod tests {
         bad_magic[0] = b'X';
         assert!(TelemetryTrace::decode(&bad_magic).is_err());
 
-        let mut bad_version = good.clone();
-        bad_version[4] = 99;
-        assert!(TelemetryTrace::decode(&bad_version).is_err());
+        for version in [1u16, 2, 3, 99] {
+            let mut bad_version = good.clone();
+            bad_version[4..6].copy_from_slice(&version.to_le_bytes());
+            assert!(TelemetryTrace::decode(&bad_version).is_err(), "version {version} accepted");
+        }
 
         let mut bad_flags = good.clone();
         bad_flags[6] = 1;
@@ -1846,14 +1838,6 @@ mod tests {
         let mut reader = &bad_config[..];
         decoder.read_header(&mut reader).unwrap();
         assert!(decoder.read_frame(&mut reader, &mut scratch).is_err());
-    }
-
-    #[test]
-    fn v1_streams_still_decode() {
-        let trace = TelemetryTrace { batches: vec![sample_batch(2.0)] };
-        let mut encoded = trace.encode();
-        encoded[4..6].copy_from_slice(&1u16.to_le_bytes());
-        assert_eq!(TelemetryTrace::decode(&encoded).unwrap(), trace);
     }
 
     #[test]

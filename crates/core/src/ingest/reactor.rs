@@ -675,7 +675,7 @@ impl IngestReactor {
                     return;
                 }
                 Ok(Some(FrameKind::Join { device_id, .. })) => {
-                    // v4 servers open every stream (fresh or resumed) with a
+                    // Servers open every stream (fresh or resumed) with a
                     // join handshake; validate it and move on.  The carried
                     // config/start-epoch are advisory to the fleet layer.
                     if device_id != feed.device_id {

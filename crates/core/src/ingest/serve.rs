@@ -282,7 +282,7 @@ impl TelemetryServe {
         Ok(Self::with_listener(ServeListener::Unix(listener), Self::encode_devices(traces)))
     }
 
-    /// Like [`bind`](TelemetryServe::bind), but every batch is served as a v3
+    /// Like [`bind`](TelemetryServe::bind), but every batch is served as a
     /// COMPRESSED frame at roughly `ratio`× compression, seeded per frame by
     /// [`compressed_frame_seed`](crate::ingest::compressed_frame_seed).
     /// Everything else — the RESUME handshake, per-frame resume offsets,

@@ -132,6 +132,16 @@ pub trait SampleSource {
     fn status(&mut self) -> SourceStatus {
         SourceStatus::Ready
     }
+
+    /// Number of captured windows that overlapped an injected sensor fault —
+    /// the fault exposure a fleet row reports as
+    /// [`DeviceSummary::faulted_epochs`](crate::fleet::DeviceSummary::faulted_epochs).
+    ///
+    /// The default is 0: only a [`FaultInjector`](crate::scenario::FaultInjector)
+    /// injects faults, and a live feed does not carry its device's exposure.
+    fn faulted_captures(&self) -> usize {
+        0
+    }
 }
 
 /// What a [`SampleSource`] reports about its ability to keep delivering
@@ -165,6 +175,10 @@ impl<S: SampleSource + ?Sized> SampleSource for Box<S> {
 
     fn status(&mut self) -> SourceStatus {
         (**self).status()
+    }
+
+    fn faulted_captures(&self) -> usize {
+        (**self).faulted_captures()
     }
 }
 

@@ -845,6 +845,10 @@ impl<S: SampleSource> SampleSource for FaultInjector<S> {
     fn status(&mut self) -> SourceStatus {
         self.inner.status()
     }
+
+    fn faulted_captures(&self) -> usize {
+        self.faulted_captures
+    }
 }
 
 #[cfg(test)]
