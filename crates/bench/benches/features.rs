@@ -50,14 +50,6 @@ fn bench_goertzel_vs_dft(c: &mut Criterion) {
     group.bench_function("full_direct_dft", |b| {
         b.iter(|| black_box(dft_magnitudes(black_box(&signal), 100)))
     });
-    group.bench_function("radix2_fft_256", |b| {
-        b.iter(|| {
-            let mut padded: Vec<Complex> = signal.iter().map(|&v| Complex::new(v, 0.0)).collect();
-            padded.resize(256, Complex::default());
-            fft_radix2(&mut padded);
-            black_box(padded[4].magnitude())
-        })
-    });
     group.finish();
 }
 

@@ -2022,10 +2022,12 @@ mod tests {
     #[test]
     #[cfg(unix)]
     fn unix_socket_transport_delivers_frames() {
-        // Keep the socket file inside the workspace target directory.
-        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target");
-        let path = dir.join(format!("adasense-ingest-{}.sock", std::process::id()));
-        let path_str = path.to_str().expect("utf-8 target path").to_string();
+        // The system temp directory exists whatever the build directory is, and
+        // keeps the path short of the 108-byte socket-path limit.
+        let dir = std::env::temp_dir().join(format!("adasense-ingest-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create socket directory");
+        let path = dir.join("transport.sock");
+        let path_str = path.to_str().expect("utf-8 temp path").to_string();
         let _ = std::fs::remove_file(&path);
 
         let trace = TelemetryTrace { batches: vec![sample_batch(2.0), sample_batch(3.0)] };

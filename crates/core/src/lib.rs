@@ -12,8 +12,6 @@
 //! This crate is the top of the reproduction stack.  It combines the substrates
 //! ([`adasense_sensor`], [`adasense_data`], [`adasense_dsp`], [`adasense_ml`]) into:
 //!
-//! * [`pipeline`] — the HAR pipeline of Fig. 1: buffer → unified feature extraction
-//!   → classifier.
 //! * [`training`] — dataset construction and training of the unified classifier and
 //!   of per-configuration classifier banks (used by the baselines).
 //! * [`controller`] — the adaptive sensing policies: SPOT, SPOT with confidence,
@@ -70,11 +68,9 @@ pub mod controller;
 pub mod dse;
 pub mod error;
 pub mod experiments;
-pub mod export;
 pub mod fleet;
 pub mod ingest;
 pub mod pareto;
-pub mod pipeline;
 pub mod runtime;
 pub mod scenario;
 pub mod shard;
@@ -100,7 +96,6 @@ pub use ingest::{
     SocketSource, StreamParser, TelemetrySender, TelemetryTrace, TraceRecorder,
 };
 pub use pareto::pareto_front;
-pub use pipeline::{ClassifiedBatch, HarPipeline};
 pub use runtime::{
     DeviceRuntime, SampleSource, ScenarioSource, SourceStatus, TickPhase, TickResult, TxSetup,
     TxTally,
@@ -143,7 +138,6 @@ pub mod prelude {
         SocketSource, StreamParser, TelemetrySender, TelemetryTrace, TraceRecorder,
     };
     pub use crate::pareto::pareto_front;
-    pub use crate::pipeline::{ClassifiedBatch, HarPipeline};
     pub use crate::runtime::{
         DeviceRuntime, SampleSource, ScenarioSource, SourceStatus, TickPhase, TickResult, TxSetup,
         TxTally,

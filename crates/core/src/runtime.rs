@@ -39,8 +39,8 @@ pub const WINDOW_S: f64 = 2.0;
 pub const EPOCH_S: f64 = 1.0;
 
 /// Offset subtracted from an epoch's end time when querying its ground truth,
-/// re-exported from the data substrate so trace recorders and label exporters
-/// sample the exact instants the runtime scores against.
+/// re-exported from the data substrate so trace recorders sample the exact
+/// instants the runtime scores against.
 pub use adasense_data::EPOCH_LABEL_OFFSET_S;
 
 /// Provides the sensor data a [`DeviceRuntime`] consumes.

@@ -19,7 +19,6 @@ use adasense_sensor::{AveragingWindow, SamplingFrequency, SensorConfig};
 use serde::{Deserialize, Serialize};
 
 use crate::error::AdaSenseError;
-use crate::pipeline::HarPipeline;
 
 /// Maximum calibration-set accuracy the cascade may give up relative to the
 /// full classifier when its margin threshold is calibrated (0.5 points —
@@ -345,11 +344,6 @@ impl TrainedSystem {
     /// All per-configuration classifiers in the bank.
     pub fn bank(&self) -> impl Iterator<Item = &PerConfigModel> {
         self.bank.values()
-    }
-
-    /// A ready-to-use HAR pipeline around the unified classifier.
-    pub fn pipeline(&self) -> HarPipeline {
-        HarPipeline::new(self.unified.clone())
     }
 }
 

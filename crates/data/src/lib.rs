@@ -14,14 +14,13 @@
 //! * [`activity`] — the six-class activity label.
 //! * [`signal`] — per-activity continuous signal models (orientation + gait harmonics
 //!   + tremor) with per-subject variation.
-//! * [`schedule`] — activity timelines: explicit segments and the randomized
-//!   High/Medium/Low activity-change settings of Fig. 7.
+//! * [`schedule`] — activity timelines: explicit segments, the randomized
+//!   High/Medium/Low activity-change settings of Fig. 7, and the per-epoch
+//!   instant ([`EPOCH_LABEL_OFFSET_S`]) at which a timeline is scored.
 //! * [`generator`] — turns a schedule plus signal models into a
 //!   [`adasense_sensor::SignalSource`] usable by the simulated accelerometer.
 //! * [`dataset`] — labelled window datasets across sensor configurations, with
 //!   deterministic train/test splits.
-//! * [`export`] — per-epoch ground-truth label tracks for recorded telemetry
-//!   traces (sampled at the same instants the device runtime scores against).
 //!
 //! # Example
 //!
@@ -43,17 +42,16 @@
 
 pub mod activity;
 pub mod dataset;
-pub mod export;
 pub mod generator;
 pub mod schedule;
 pub mod signal;
 
 pub use activity::Activity;
 pub use dataset::{DatasetSpec, LabeledWindow, TrainTestSplit, WindowDataset};
-pub use export::EPOCH_LABEL_OFFSET_S;
 pub use generator::ActivityTrace;
 pub use schedule::{
     ActivityChangeSetting, ActivitySchedule, JitteredSegment, ScheduleBuilder, Segment,
+    EPOCH_LABEL_OFFSET_S,
 };
 pub use signal::{ActivitySignalModel, SubjectParams};
 
@@ -61,10 +59,10 @@ pub use signal::{ActivitySignalModel, SubjectParams};
 pub mod prelude {
     pub use crate::activity::Activity;
     pub use crate::dataset::{DatasetSpec, LabeledWindow, TrainTestSplit, WindowDataset};
-    pub use crate::export::EPOCH_LABEL_OFFSET_S;
     pub use crate::generator::ActivityTrace;
     pub use crate::schedule::{
         ActivityChangeSetting, ActivitySchedule, JitteredSegment, ScheduleBuilder, Segment,
+        EPOCH_LABEL_OFFSET_S,
     };
     pub use crate::signal::{ActivitySignalModel, SubjectParams};
 }

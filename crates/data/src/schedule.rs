@@ -10,6 +10,16 @@ use serde::{Deserialize, Serialize};
 
 use crate::activity::Activity;
 
+/// Offset subtracted from an epoch's end time when querying its ground-truth
+/// label with [`ActivitySchedule::activity_at`], in seconds.
+///
+/// The device runtime classifies the window ending at `t_end` and scores it
+/// against the activity at `t_end - EPOCH_LABEL_OFFSET_S` — an instant just
+/// *inside* the epoch, so schedules defined over `[0, duration)` never see an
+/// out-of-range query.  Trace recorders use the same offset so recorded labels
+/// match what the runtime would have scored.
+pub const EPOCH_LABEL_OFFSET_S: f64 = 1e-6;
+
 /// One contiguous stretch of a single activity.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Segment {

@@ -1,11 +1,11 @@
-//! Spectral analysis: radix-2 FFT, direct DFT and the Goertzel algorithm.
+//! Spectral analysis: the Goertzel algorithm and a direct DFT.
 //!
 //! The paper keeps only the first three Fourier coefficients per axis ("representing
 //! the frequency components up to 3 Hz", Section III-B).  Computing three isolated
 //! bins is exactly what the Goertzel algorithm is for, and it is what AdaSense's
-//! feature extractor uses; the full FFT/DFT implementations are provided for
-//! verification (property tests check they agree) and for analyses that need the
-//! whole spectrum.
+//! feature extractor uses.  [`goertzel_magnitude`] is the single-bin reference the
+//! extractor's fused recurrences are tested against, and [`dft_magnitudes`] is the
+//! direct evaluation the Goertzel recurrence itself is tested against.
 
 use serde::{Deserialize, Serialize};
 
@@ -42,56 +42,10 @@ impl std::ops::Add for Complex {
     }
 }
 
-impl std::ops::Sub for Complex {
-    type Output = Complex;
-    fn sub(self, rhs: Complex) -> Complex {
-        Complex::new(self.re - rhs.re, self.im - rhs.im)
-    }
-}
-
 impl std::ops::Mul for Complex {
     type Output = Complex;
     fn mul(self, rhs: Complex) -> Complex {
         Complex::new(self.re * rhs.re - self.im * rhs.im, self.re * rhs.im + self.im * rhs.re)
-    }
-}
-
-/// In-place iterative radix-2 FFT.
-///
-/// # Panics
-///
-/// Panics if the input length is not a power of two (use [`dft_magnitudes`] or
-/// [`goertzel_magnitude`] for arbitrary lengths).
-pub fn fft_radix2(data: &mut [Complex]) {
-    let n = data.len();
-    assert!(n.is_power_of_two(), "radix-2 FFT requires a power-of-two length, got {n}");
-    if n <= 1 {
-        return;
-    }
-    // Bit-reversal permutation.
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = (i.reverse_bits() >> (usize::BITS - bits)) & (n - 1);
-        if j > i {
-            data.swap(i, j);
-        }
-    }
-    // Butterflies.
-    let mut len = 2;
-    while len <= n {
-        let angle = -std::f64::consts::TAU / len as f64;
-        let wlen = Complex::from_angle(angle);
-        for start in (0..n).step_by(len) {
-            let mut w = Complex::new(1.0, 0.0);
-            for k in 0..len / 2 {
-                let even = data[start + k];
-                let odd = data[start + k + len / 2] * w;
-                data[start + k] = even + odd;
-                data[start + k + len / 2] = even - odd;
-                w = w * wlen;
-            }
-        }
-        len <<= 1;
     }
 }
 
@@ -128,17 +82,7 @@ pub fn dft_magnitudes(signal: &[f64], bins: usize) -> Vec<f64> {
 ///
 /// Returns 0 for an empty signal.
 pub fn goertzel_magnitude(signal: &[f64], bin: f64) -> f64 {
-    goertzel_magnitude_of(signal.len(), bin, signal.iter().copied())
-}
-
-/// [`goertzel_magnitude`] over any scalar sequence of known length `n`.
-///
-/// Lets callers run the recurrence over strided views (for example one axis of
-/// an interleaved 3-axis sample buffer) without first copying the axis into a
-/// contiguous scratch vector.  Bit-identical to [`goertzel_magnitude`] on the
-/// equivalent contiguous slice.  The iterator is trusted to yield `n` items;
-/// fewer simply end the recurrence early.
-pub fn goertzel_magnitude_of(n: usize, bin: f64, values: impl Iterator<Item = f64>) -> f64 {
+    let n = signal.len();
     if n == 0 {
         return 0.0;
     }
@@ -146,7 +90,7 @@ pub fn goertzel_magnitude_of(n: usize, bin: f64, values: impl Iterator<Item = f6
     let coeff = 2.0 * omega.cos();
     let mut s_prev = 0.0f64;
     let mut s_prev2 = 0.0f64;
-    for v in values {
+    for &v in signal {
         let s = v + coeff * s_prev - s_prev2;
         s_prev2 = s_prev;
         s_prev = s;
@@ -154,59 +98,6 @@ pub fn goertzel_magnitude_of(n: usize, bin: f64, values: impl Iterator<Item = f6
     let re = s_prev - s_prev2 * omega.cos();
     let im = s_prev2 * omega.sin();
     (re * re + im * im).sqrt()
-}
-
-/// A reusable execution plan for repeated real-input FFTs.
-///
-/// Owns the complex working buffer, so a streaming loop that transforms one
-/// window per tick performs no heap allocation once the buffer has grown to the
-/// largest (padded) window size.  The input is zero-padded to the next power of
-/// two and transformed in place with [`fft_radix2`].
-///
-/// ```
-/// use adasense_dsp::FftPlan;
-/// let mut plan = FftPlan::new();
-/// let signal: Vec<f64> = (0..50).map(|k| (k as f64 * 0.4).sin()).collect();
-/// let spectrum = plan.forward_real(&signal);
-/// assert_eq!(spectrum.len(), 64);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct FftPlan {
-    scratch: Vec<Complex>,
-}
-
-impl FftPlan {
-    /// Creates an empty plan (the working buffer grows on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Transforms `signal` (zero-padded to the next power of two) and returns
-    /// the spectrum, valid until the next call.  An empty signal yields an
-    /// empty spectrum.
-    pub fn forward_real(&mut self, signal: &[f64]) -> &[Complex] {
-        self.scratch.clear();
-        if signal.is_empty() {
-            return &self.scratch;
-        }
-        let padded = signal.len().next_power_of_two();
-        self.scratch.reserve(padded);
-        self.scratch.extend(signal.iter().map(|&v| Complex::new(v, 0.0)));
-        self.scratch.resize(padded, Complex::default());
-        fft_radix2(&mut self.scratch);
-        &self.scratch
-    }
-
-    /// Transforms `signal` and writes the magnitudes of the first `bins`
-    /// spectrum bins into `out` (cleared first, zero-padded if the spectrum is
-    /// shorter than `bins`).
-    pub fn magnitudes_into(&mut self, signal: &[f64], bins: usize, out: &mut Vec<f64>) {
-        let spectrum = self.forward_real(signal);
-        out.clear();
-        out.reserve(bins);
-        out.extend(spectrum.iter().take(bins).map(|c| c.magnitude()));
-        out.resize(bins, 0.0);
-    }
 }
 
 #[cfg(test)]
@@ -217,51 +108,6 @@ mod tests {
         (0..n)
             .map(|i| amplitude * (std::f64::consts::TAU * cycles * i as f64 / n as f64).sin())
             .collect()
-    }
-
-    #[test]
-    fn fft_of_impulse_is_flat() {
-        let mut data = vec![Complex::default(); 8];
-        data[0] = Complex::new(1.0, 0.0);
-        fft_radix2(&mut data);
-        for c in data {
-            assert!((c.magnitude() - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn fft_finds_a_pure_tone() {
-        let signal = tone(64, 5.0, 2.0);
-        let mut data: Vec<Complex> = signal.iter().map(|&v| Complex::new(v, 0.0)).collect();
-        fft_radix2(&mut data);
-        let magnitudes: Vec<f64> = data.iter().map(|c| c.magnitude()).collect();
-        // Peak at bin 5 (and its mirror 59) with magnitude n*amplitude/2 = 64.
-        let peak = magnitudes
-            .iter()
-            .enumerate()
-            .take(32)
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap();
-        assert_eq!(peak.0, 5);
-        assert!((peak.1 - 64.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "power-of-two")]
-    fn fft_rejects_non_power_of_two() {
-        let mut data = vec![Complex::default(); 12];
-        fft_radix2(&mut data);
-    }
-
-    #[test]
-    fn dft_and_fft_agree_on_power_of_two_lengths() {
-        let signal: Vec<f64> = (0..32).map(|i| ((i * 7 % 13) as f64 - 6.0) * 0.1).collect();
-        let direct = dft_magnitudes(&signal, 16);
-        let mut data: Vec<Complex> = signal.iter().map(|&v| Complex::new(v, 0.0)).collect();
-        fft_radix2(&mut data);
-        for (k, d) in direct.iter().enumerate() {
-            assert!((d - data[k].magnitude()).abs() < 1e-9, "bin {k}");
-        }
     }
 
     #[test]
@@ -297,52 +143,10 @@ mod tests {
     }
 
     #[test]
-    fn plan_matches_manual_padded_fft() {
-        let signal = tone(50, 3.0, 1.0);
-        let mut plan = FftPlan::new();
-        let planned: Vec<Complex> = plan.forward_real(&signal).to_vec();
-        let mut manual: Vec<Complex> = signal.iter().map(|&v| Complex::new(v, 0.0)).collect();
-        manual.resize(64, Complex::default());
-        fft_radix2(&mut manual);
-        assert_eq!(planned, manual);
-        // Reusing the plan on a different length must still agree.
-        let short = tone(16, 2.0, 0.5);
-        let again: Vec<Complex> = plan.forward_real(&short).to_vec();
-        let mut manual_short: Vec<Complex> = short.iter().map(|&v| Complex::new(v, 0.0)).collect();
-        fft_radix2(&mut manual_short);
-        assert_eq!(again, manual_short);
-    }
-
-    #[test]
-    fn plan_magnitudes_pad_missing_bins() {
-        let mut plan = FftPlan::new();
-        let mut out = vec![9.0; 2];
-        plan.magnitudes_into(&[1.0, 2.0, 3.0, 4.0], 6, &mut out);
-        assert_eq!(out.len(), 6);
-        assert!((out[0] - 10.0).abs() < 1e-12, "DC bin is the sum");
-        assert_eq!(&out[4..], &[0.0, 0.0], "bins past the spectrum are zero");
-        plan.magnitudes_into(&[], 3, &mut out);
-        assert_eq!(out, vec![0.0; 3]);
-    }
-
-    #[test]
-    fn goertzel_of_strided_view_matches_contiguous() {
-        let interleaved: Vec<[f64; 3]> =
-            (0..40).map(|k| [(k as f64 * 0.3).sin(), (k as f64 * 0.7).cos(), k as f64]).collect();
-        for axis in 0..3 {
-            let contiguous: Vec<f64> = interleaved.iter().map(|v| v[axis]).collect();
-            let strided =
-                goertzel_magnitude_of(interleaved.len(), 2.5, interleaved.iter().map(|v| v[axis]));
-            assert_eq!(strided.to_bits(), goertzel_magnitude(&contiguous, 2.5).to_bits());
-        }
-    }
-
-    #[test]
     fn complex_arithmetic() {
         let a = Complex::new(1.0, 2.0);
         let b = Complex::new(3.0, -1.0);
         assert_eq!(a + b, Complex::new(4.0, 1.0));
-        assert_eq!(a - b, Complex::new(-2.0, 3.0));
         assert_eq!(a * b, Complex::new(5.0, 5.0));
         assert!((Complex::from_angle(0.0).re - 1.0).abs() < 1e-15);
     }

@@ -7,19 +7,19 @@
 //! and feeds a fixed-size feature vector to the classifier.  The crucial property is
 //! that the feature vector has the *same size regardless of the sensor
 //! configuration*, which is what lets a single classifier serve every configuration.
+//! The device runtime of `adasense` assembles each window from its sample source;
+//! this crate computes what the classifier sees of it.
 //!
 //! Modules:
 //!
-//! * [`stats`] — per-axis statistics (mean, standard deviation, RMS, …).
-//! * [`fft`] — spectral analysis: a radix-2 FFT, a direct DFT for arbitrary lengths
-//!   and a Goertzel evaluator for individual low-frequency bins.
-//! * [`window`] — the 2-second / 1-second-hop batch buffer of Fig. 1.
 //! * [`features`] — the unified 15-dimensional feature vector (3 means, 3 standard
 //!   deviations, 3 × 3 low-frequency Fourier magnitudes) and its extractor.
-//! * [`resample`] — linear-interpolation resampling (used by the related-work
-//!   baseline that normalizes variable sampling rates).
+//! * [`fft`] — the single-bin Goertzel evaluator and the direct DFT it is tested
+//!   against.
 //! * [`intensity`] — activity-intensity estimate (mean absolute first derivative),
 //!   used by the intensity-based baseline of NK et al. \[8\].
+//! * [`projection`] — the seeded sparse random projection that encodes compressed
+//!   payloads.
 //!
 //! # Example
 //!
@@ -42,36 +42,20 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod dwt;
 pub mod features;
 pub mod fft;
 pub mod intensity;
 pub mod projection;
-pub mod resample;
-pub mod stats;
-pub mod window;
 
-pub use dwt::{haar_band_energies, haar_decompose, haar_level, HaarWorkspace};
 pub use features::{FeatureExtractor, FeatureVector, FEATURE_DIM, TIME_DOMAIN_DIM};
-pub use fft::{
-    dft_magnitudes, fft_radix2, goertzel_magnitude, goertzel_magnitude_of, Complex, FftPlan,
-};
+pub use fft::{dft_magnitudes, goertzel_magnitude, Complex};
 pub use intensity::{mean_absolute_derivative, IntensityEstimator};
 pub use projection::{ProjectionScratch, SparseProjection};
-pub use resample::resample_linear;
-pub use stats::AxisStats;
-pub use window::BatchBuffer;
 
 /// Convenience re-exports of the most commonly used items.
 pub mod prelude {
-    pub use crate::dwt::{haar_band_energies, haar_decompose, haar_level, HaarWorkspace};
     pub use crate::features::{FeatureExtractor, FeatureVector, FEATURE_DIM, TIME_DOMAIN_DIM};
-    pub use crate::fft::{
-        dft_magnitudes, fft_radix2, goertzel_magnitude, goertzel_magnitude_of, Complex, FftPlan,
-    };
+    pub use crate::fft::{dft_magnitudes, goertzel_magnitude, Complex};
     pub use crate::intensity::{mean_absolute_derivative, IntensityEstimator};
     pub use crate::projection::{ProjectionScratch, SparseProjection};
-    pub use crate::resample::resample_linear;
-    pub use crate::stats::AxisStats;
-    pub use crate::window::BatchBuffer;
 }

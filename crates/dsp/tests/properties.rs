@@ -19,24 +19,9 @@ proptest! {
         prop_assert!((direct - goertzel).abs() < 1e-6 * (1.0 + direct.abs()));
     }
 
-    /// The FFT preserves signal energy (Parseval's theorem).
-    #[test]
-    fn fft_preserves_energy(signal in prop::collection::vec(-2.0f64..2.0, 1usize..6).prop_map(|seed| {
-        // Expand the seed into a power-of-two length signal deterministically.
-        let n = 32;
-        (0..n).map(|i| seed[i % seed.len()] * ((i as f64 * 0.7).sin() + 0.3)).collect::<Vec<f64>>()
-    })) {
-        let time_energy: f64 = signal.iter().map(|v| v * v).sum();
-        let mut data: Vec<Complex> = signal.iter().map(|&v| Complex::new(v, 0.0)).collect();
-        fft_radix2(&mut data);
-        let freq_energy: f64 = data.iter().map(|c| {
-            let m = c.magnitude();
-            m * m
-        }).sum::<f64>() / signal.len() as f64;
-        prop_assert!((time_energy - freq_energy).abs() < 1e-6 * (1.0 + time_energy));
-    }
-
-    /// Feature vectors always have exactly 15 finite entries, whatever the batch.
+    /// Feature vectors always have exactly 15 finite entries, whatever the batch,
+    /// and each fused Fourier slot is bit-identical to the single-bin reference
+    /// [`goertzel_magnitude`] run on that axis alone.
     #[test]
     fn features_are_fixed_size_and_finite(
         len in 2usize..300,
@@ -50,7 +35,8 @@ proptest! {
                 Sample3::new(t, amp * (freq * t).sin(), 0.2, 1.0 - amp * (freq * t).cos())
             })
             .collect();
-        let features = FeatureExtractor::paper().extract(&samples, rate);
+        let extractor = FeatureExtractor::paper();
+        let features = extractor.extract(&samples, rate);
         prop_assert_eq!(features.len(), FEATURE_DIM);
         prop_assert!(features.as_slice().iter().all(|v| v.is_finite()));
         // Standard deviations are non-negative by construction.
@@ -59,56 +45,14 @@ proptest! {
         for axis in 0..3 {
             prop_assert!(features.fourier(axis).iter().all(|v| *v >= 0.0));
         }
-    }
-
-    /// Statistics are invariant to sample order for mean/min/max and the mean always
-    /// lies between min and max.
-    #[test]
-    fn stats_mean_is_bounded(values in finite_signal(128)) {
-        let s = AxisStats::of(&values);
-        prop_assert!(s.mean >= s.min - 1e-12);
-        prop_assert!(s.mean <= s.max + 1e-12);
-        prop_assert!(s.std >= 0.0);
-        prop_assert!(s.rms >= 0.0);
-        let mut reversed = values.clone();
-        reversed.reverse();
-        let r = AxisStats::of(&reversed);
-        prop_assert!((s.mean - r.mean).abs() < 1e-12);
-        prop_assert!((s.std - r.std).abs() < 1e-12);
-    }
-
-    /// Resampling a linear ramp is exact at any target rate.
-    #[test]
-    fn resampling_a_ramp_is_exact(rate in 5.0f64..100.0, target in 5.0f64..100.0) {
-        let n = (rate * 2.0) as usize;
-        let input: Vec<Sample3> = (0..n)
-            .map(|k| {
-                let t = k as f64 / rate;
-                Sample3::new(t, 3.0 * t, -t, 0.5 * t)
-            })
-            .collect();
-        prop_assume!(input.len() >= 2);
-        for s in resample_linear(&input, target) {
-            prop_assert!((s.x - 3.0 * s.t).abs() < 1e-9);
-            prop_assert!((s.y + s.t).abs() < 1e-9);
-            prop_assert!((s.z - 0.5 * s.t).abs() < 1e-9);
-        }
-    }
-
-    /// The batch buffer never emits a batch spanning more than the window length and
-    /// never loses the fixed feature of overlapping coverage.
-    #[test]
-    fn batch_buffer_spans_are_bounded(rate in prop::sample::select(vec![6.25f64, 12.5, 25.0, 50.0, 100.0])) {
-        let mut buffer = BatchBuffer::paper();
-        let n = (rate * 8.0).round() as usize;
-        let samples: Vec<Sample3> = (0..n)
-            .map(|k| Sample3::new(k as f64 / rate, 0.0, 0.0, 1.0))
-            .collect();
-        let batches = buffer.push_all(&samples);
-        prop_assert!(!batches.is_empty());
-        for batch in &batches {
-            let span = batch.last().unwrap().t - batch.first().unwrap().t;
-            prop_assert!(span <= 2.0 + 1e-9);
+        let n = len as f64;
+        for axis in 0..3 {
+            let values: Vec<f64> = samples.iter().map(|s| [s.x, s.y, s.z][axis]).collect();
+            let probes = extractor.fourier_frequencies_hz;
+            for (slot, f) in features.fourier(axis).into_iter().zip(probes) {
+                let reference = 2.0 * goertzel_magnitude(&values, f * (n / rate)) / n;
+                prop_assert_eq!(slot.to_bits(), reference.to_bits());
+            }
         }
     }
 }

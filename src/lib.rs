@@ -10,11 +10,13 @@
 //!   the duty-cycle energy model.
 //! * [`data`] — synthetic activity signal models, activity schedules and labelled
 //!   window datasets.
-//! * [`dsp`] — buffering, statistics, Goertzel/FFT and the unified 15-dimensional
-//!   feature extraction.
+//! * [`dsp`] — the unified 15-dimensional feature extraction (per-axis means,
+//!   standard deviations and Goertzel magnitudes), the intensity estimate and the
+//!   sparse projection for compressed payloads.
 //! * [`ml`] — the from-scratch dense neural network, trainer and metrics.
-//! * [`adasense`] — the AdaSense framework itself: HAR pipeline, SPOT controllers,
-//!   design-space exploration and the closed-loop power/accuracy simulator.
+//! * [`adasense`] — the AdaSense framework itself: classifier training, SPOT
+//!   controllers, the per-device closed-loop runtime, design-space exploration and
+//!   the power/accuracy simulator.
 //!
 //! # Example
 //!

@@ -165,16 +165,20 @@ fn the_same_unified_model_classifies_batches_from_all_configurations() {
     let (_, system) = shared();
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    let pipeline = system.pipeline();
     let mut rng = StdRng::seed_from_u64(9);
     for config in SensorConfig::paper_pareto_front() {
         let signal =
             ActivitySignalModel::canonical(Activity::LieDown).realize(&SubjectParams::neutral());
         let accel = Accelerometer::new(config);
         let window = accel.capture(&signal, 0.0, 2.0, &mut rng);
-        let classified = pipeline.classify_batch(&window, config).expect("non-empty window");
+        let features = system.extractor().extract(&window, config.frequency.hz());
+        let prediction = system.unified_classifier().predict(features.as_slice());
         // Lie-down has a very distinctive orientation; any sane model should get it
         // right under every configuration.
-        assert_eq!(classified.activity, Activity::LieDown, "under {config}");
+        assert_eq!(
+            Activity::from_index(prediction.class),
+            Some(Activity::LieDown),
+            "under {config}"
+        );
     }
 }
