@@ -27,6 +27,23 @@
 //! full the decoded batch waits in a small overflow queue and the connection
 //! is *parked* (dropped from the poll set) until the runtime drains it.
 //!
+//! # What wakes the loop
+//!
+//! The loop sleeps in `poll(2)` and wakes only for work:
+//!
+//! * a feed socket turns readable (data, EOF or an error);
+//! * a [`ReactorHandle`] churn command: `subscribe` and `unsubscribe` write
+//!   one byte to a wake socket that sits in the poll set while any handle is
+//!   alive, and the last handle's drop shows up there as EOF;
+//! * a deadline: a dialing feed's next redial (`delay` after its last dial
+//!   under the [`ReconnectPolicy`]), and a 1 ms re-check for every feed that
+//!   holds decoded batches its full channel ring has not taken yet — the
+//!   consumer frees ring room without telling the reactor.
+//!
+//! With none of these pending the poll waits indefinitely.  Each pass
+//! services only live feeds: a completed, departed or failed feed is folded
+//! into [`ReactorStats`] and dropped from the loop.
+//!
 //! # Failure handling
 //!
 //! * **Torn connection** (EOF or I/O error before the END frame): the
@@ -45,8 +62,9 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
-use std::time::Instant;
+use std::sync::mpsc::{Receiver, Sender};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use polling::{poll_fds, PollFd, POLLIN};
 
@@ -65,6 +83,10 @@ const READ_BLOCK: usize = 8192;
 /// Decoded-but-undelivered batches a feed may hold before its connection is
 /// parked.  This is the reactor-side overflow on top of the channel ring.
 const PARK_THRESHOLD: usize = 32;
+
+/// How soon a feed holding undelivered batches re-checks its channel ring
+/// for room.
+const REFILL_CHECK: Duration = Duration::from_millis(1);
 
 /// Counters and outcomes for one [`IngestReactor::run`], returned when every
 /// feed has completed or failed.
@@ -92,6 +114,14 @@ pub struct ReactorStats {
     /// channels closed at the last delivered batch, so the device finalized
     /// at its last completed epoch.
     pub departed: u64,
+    /// `poll(2)` calls the event loop made.
+    pub polls: u64,
+    /// Polls that returned with nothing ready: a deadline fired rather than
+    /// a socket or a churn command.
+    pub idle_polls: u64,
+    /// Feeds the loop serviced, summed over its iterations (one visit per
+    /// live feed per iteration).
+    pub feed_visits: u64,
     /// Per-feed failures: `(device_id, error)`.
     pub errors: Vec<(u64, AdaSenseError)>,
 }
@@ -111,6 +141,13 @@ enum FeedState {
     Departed,
     /// Gave up; error recorded.
     Failed,
+}
+
+impl FeedState {
+    /// Completed, departed and failed feeds are done: the loop retires them.
+    fn is_terminal(self) -> bool {
+        matches!(self, Self::Completed | Self::Departed | Self::Failed)
+    }
 }
 
 /// One feed transport: loopback/remote TCP, or a Unix-domain socket for
@@ -198,9 +235,17 @@ enum Command {
 /// reactor runs (see [`IngestReactor::handle`]).  The reactor keeps running
 /// until every feed is terminal *and* every handle has been dropped, so hold
 /// a handle only as long as the fleet may still churn.
+///
+/// Each command wakes the reactor at once: the handle queues it, then writes
+/// one byte to a wake socket in the reactor's poll set.  A full wake socket
+/// already holds a pending wake, and a write error means the reactor is gone,
+/// so write errors are ignored.
 #[derive(Clone)]
 pub struct ReactorHandle {
     commands: Sender<Command>,
+    /// Write end of the reactor's wake socket; `None` only if the socket
+    /// could not be created, which [`IngestReactor::run`] then reports.
+    wake: Option<Arc<UnixStream>>,
     capacity: usize,
 }
 
@@ -214,8 +259,7 @@ impl ReactorHandle {
     /// immediately.
     pub fn subscribe(&self, addr: &str, device_id: u64) -> ChannelSource {
         let (sender, source) = telemetry_channel(self.capacity);
-        let _ =
-            self.commands.send(Command::Subscribe { device_id, addr: addr.to_string(), sender });
+        self.send(Command::Subscribe { device_id, addr: addr.to_string(), sender });
         source
     }
 
@@ -224,7 +268,17 @@ impl ReactorHandle {
     /// last completed epoch.  Unknown or already-terminal device ids are
     /// ignored.
     pub fn unsubscribe(&self, device_id: u64) {
-        let _ = self.commands.send(Command::Unsubscribe { device_id });
+        self.send(Command::Unsubscribe { device_id });
+    }
+
+    /// Queues `command`, then wakes the reactor.  A command the reactor can
+    /// no longer receive is dropped (with its sender, which ends the source).
+    fn send(&self, command: Command) {
+        if self.commands.send(command).is_ok() {
+            if let Some(wake) = &self.wake {
+                let _ = (&**wake).write(&[1]);
+            }
+        }
     }
 }
 
@@ -277,21 +331,33 @@ impl std::fmt::Debug for Feed {
 /// bounded overflow queue — no per-connection threads, no unbounded buffers.
 #[derive(Debug)]
 pub struct IngestReactor {
+    /// Live feeds in subscription order; terminal ones are retired by `run`.
     feeds: Vec<Feed>,
     policy: ReconnectPolicy,
     capacity: usize,
     stats: ReactorStats,
-    /// Command intake from live [`ReactorHandle`]s, created on first
-    /// [`handle`](Self::handle) call.
-    commands: Option<Receiver<Command>>,
-    /// The reactor's own sender, kept only until [`run`](Self::run) starts so
-    /// `handle` can clone it; dropped at run start so intake disconnection
-    /// means "every user handle is gone".
-    handle_tx: Option<Sender<Command>>,
-    /// Whether the intake was still connected at the last drain (run-loop
-    /// state: an open intake keeps the reactor alive and the poll timeout
-    /// short).
-    intake_open: bool,
+    /// The reactor's end of its [`ReactorHandle`]s, created on the first
+    /// [`handle`](Self::handle) call and closed once every handle is gone.
+    intake: Option<Intake>,
+    /// The reactor's own handle, kept only until [`run`](Self::run) starts
+    /// so `handle` can clone it; dropped at run start so EOF on the wake
+    /// socket means "every user handle is gone".
+    own_handle: Option<ReactorHandle>,
+    /// Why the wake socket could not be created; `run` fails with it.
+    wake_error: Option<std::io::Error>,
+    /// Poll slots (the wake socket first, while the intake is open, then
+    /// one per readable-eligible feed) and the feed index behind each feed
+    /// slot, reused across iterations.
+    fds: Vec<PollFd>,
+    owners: Vec<usize>,
+}
+
+/// The reactor's end of its handles: the command queue and the read end of
+/// the wake socket.
+#[derive(Debug)]
+struct Intake {
+    commands: Receiver<Command>,
+    wake: UnixStream,
 }
 
 impl IngestReactor {
@@ -303,9 +369,11 @@ impl IngestReactor {
             policy: ReconnectPolicy::default(),
             capacity: 8,
             stats: ReactorStats::default(),
-            commands: None,
-            handle_tx: None,
-            intake_open: false,
+            intake: None,
+            own_handle: None,
+            wake_error: None,
+            fds: Vec::new(),
+            owners: Vec::new(),
         }
     }
 
@@ -315,16 +383,18 @@ impl IngestReactor {
     /// finish, waiting for churn; it exits once every handle is dropped and
     /// every feed is terminal.
     pub fn handle(&mut self) -> ReactorHandle {
-        let tx = match &self.handle_tx {
-            Some(tx) => tx.clone(),
-            None => {
-                let (tx, rx) = std::sync::mpsc::channel();
-                self.commands = Some(rx);
-                self.handle_tx = Some(tx.clone());
-                tx
-            }
-        };
-        ReactorHandle { commands: tx, capacity: self.capacity }
+        let own = self.own_handle.get_or_insert_with(|| {
+            let (commands, rx) = std::sync::mpsc::channel();
+            let wake = UnixStream::pair().and_then(|(reader, writer)| {
+                reader.set_nonblocking(true)?;
+                writer.set_nonblocking(true)?;
+                self.intake = Some(Intake { commands: rx, wake: reader });
+                Ok(Arc::new(writer))
+            });
+            let wake = wake.map_err(|e| self.wake_error = Some(e)).ok();
+            ReactorHandle { commands, wake, capacity: self.capacity }
+        });
+        ReactorHandle { capacity: self.capacity, ..own.clone() }
     }
 
     /// Replaces the reconnect policy (applies per disconnect: each torn
@@ -381,42 +451,61 @@ impl IngestReactor {
     /// # Errors
     ///
     /// Returns [`AdaSenseError::Ingest`] only for reactor-global failures
-    /// (the `poll(2)` syscall itself); per-feed failures are recorded in
-    /// [`ReactorStats::errors`] instead.
+    /// (the `poll(2)` syscall itself, or a wake socket for
+    /// [`handle`](Self::handle) that could not be created); per-feed
+    /// failures are recorded in [`ReactorStats::errors`] instead.
     pub fn run(mut self) -> Result<ReactorStats, AdaSenseError> {
-        // Drop the reactor's own sender: from here on, intake disconnection
+        // Drop the reactor's own handle: from here on, EOF on the wake socket
         // means every user handle is gone and no further churn can arrive.
-        drop(self.handle_tx.take());
-        let commands = self.commands.take();
-        self.intake_open = commands.is_some();
+        self.own_handle = None;
+        if let Some(e) = self.wake_error.take() {
+            return Err(AdaSenseError::ingest(format!(
+                "creating the reactor wake socket failed: {e}"
+            )));
+        }
         self.stats.feeds = self.feeds.len() as u64;
         loop {
-            if let Some(rx) = &commands {
-                self.intake_open = loop {
-                    match rx.try_recv() {
-                        Ok(command) => self.apply(command),
-                        Err(TryRecvError::Empty) => break true,
-                        Err(TryRecvError::Disconnected) => break false,
-                    }
-                };
-            }
-            let mut live = false;
             for i in 0..self.feeds.len() {
                 self.service_feed(i);
-                match self.feeds[i].state {
-                    FeedState::Completed | FeedState::Departed | FeedState::Failed => {}
-                    _ => live = true,
-                }
             }
-            if !live && !self.intake_open {
+            self.stats.feed_visits += self.feeds.len() as u64;
+            let stats = &mut self.stats;
+            self.feeds.retain(|feed| {
+                if feed.state.is_terminal() {
+                    stats.reconnects += feed.reconnects;
+                }
+                !feed.state.is_terminal()
+            });
+            if self.feeds.is_empty() && self.intake.is_none() {
                 break;
             }
             self.poll_ready()?;
         }
-        for feed in &self.feeds {
-            self.stats.reconnects += feed.reconnects;
-        }
         Ok(self.stats)
+    }
+
+    /// Drains the wake socket, then applies every queued churn command.
+    /// Draining first means a command queued after the drain leaves a byte
+    /// behind, so the next poll wakes for it.  EOF means every handle is
+    /// gone: the intake closes once its last commands are applied.
+    fn drain_intake(&mut self) {
+        let Some(mut intake) = self.intake.take() else { return };
+        let mut drained = [0u8; 64];
+        let open = loop {
+            match intake.wake.read(&mut drained) {
+                Ok(0) => break false,
+                Ok(_) => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break true,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => break false,
+            }
+        };
+        while let Ok(command) = intake.commands.try_recv() {
+            self.apply(command);
+        }
+        if open {
+            self.intake = Some(intake);
+        }
     }
 
     /// Applies one churn command from a [`ReactorHandle`].
@@ -430,13 +519,11 @@ impl IngestReactor {
             Command::Unsubscribe { device_id } => {
                 // Latest matching live feed wins; terminal feeds are left
                 // alone so a departure cannot retroactively fail a stream.
-                let Some(i) = self.feeds.iter().rposition(|f| {
-                    f.device_id == device_id
-                        && !matches!(
-                            f.state,
-                            FeedState::Completed | FeedState::Departed | FeedState::Failed
-                        )
-                }) else {
+                let Some(i) = self
+                    .feeds
+                    .iter()
+                    .rposition(|f| f.device_id == device_id && !f.state.is_terminal())
+                else {
                     return;
                 };
                 let feed = &mut self.feeds[i];
@@ -452,51 +539,59 @@ impl IngestReactor {
         }
     }
 
-    /// Polls every streaming, un-parked connection for readability, reading
-    /// and decoding whatever arrived.  Uses a short timeout when any feed is
-    /// waiting on channel room or a redial, so those make progress too.
+    /// Polls the wake socket and every streaming, un-parked connection for
+    /// readability, reading and decoding whatever arrived, then applies any
+    /// churn commands.  The timeout runs to the nearest feed deadline (a
+    /// redial, or a ring re-check for undelivered batches); with none due
+    /// the poll waits indefinitely.
     fn poll_ready(&mut self) -> Result<(), AdaSenseError> {
-        let mut fds = Vec::with_capacity(self.feeds.len());
-        let mut owners = Vec::with_capacity(self.feeds.len());
-        let mut impatient = false;
-        let open = self.feeds.iter().filter(|f| f.conn.is_some()).count() as u64;
-        self.stats.peak_open = self.stats.peak_open.max(open);
+        self.fds.clear();
+        self.owners.clear();
+        if let Some(intake) = &self.intake {
+            self.fds.push(PollFd::new(intake.wake.as_raw_fd(), POLLIN));
+        }
+        let first_feed_slot = self.fds.len();
+        let now = Instant::now();
+        let mut wait: Option<Duration> = None;
+        let mut due_in = |d: Duration| wait = Some(wait.map_or(d, |w| w.min(d)));
+        let mut open = 0;
         for (i, feed) in self.feeds.iter().enumerate() {
-            match feed.state {
-                FeedState::Streaming if feed.overflow.len() < PARK_THRESHOLD => {
-                    let conn = feed.conn.as_ref().expect("streaming feeds hold a connection");
-                    fds.push(PollFd::new(conn.stream.as_raw_fd(), POLLIN));
-                    owners.push(i);
+            if let Some(conn) = &feed.conn {
+                open += 1;
+                // Parked feeds (overflow at the threshold) stay out of the
+                // poll set until their backlog drains.
+                if feed.overflow.len() < PARK_THRESHOLD {
+                    self.fds.push(PollFd::new(conn.stream.as_raw_fd(), POLLIN));
+                    self.owners.push(i);
                 }
-                // Parked (ring full), draining, or waiting to redial: no fd
-                // to poll, but check back soon.
-                FeedState::Streaming | FeedState::Draining | FeedState::Dialing => impatient = true,
-                FeedState::Completed | FeedState::Departed | FeedState::Failed => {}
+            }
+            if !feed.overflow.is_empty() {
+                // Waiting on ring room, which the consumer frees silently.
+                due_in(REFILL_CHECK);
+            }
+            if feed.state == FeedState::Dialing {
+                let last = feed.last_dial.unwrap_or(now);
+                due_in((last + self.policy.delay).saturating_duration_since(now));
             }
         }
-        // An open intake keeps the wait short so fresh subscribe commands are
-        // admitted promptly even while every current feed is quiescent.
-        let timeout_ms = if impatient {
-            1
-        } else if self.intake_open {
-            25
-        } else {
-            250
-        };
-        if fds.is_empty() {
-            // Nothing pollable; pace the retry/drain loop without spinning.
-            std::thread::sleep(std::time::Duration::from_millis(timeout_ms as u64));
-            return Ok(());
-        }
-        let ready = poll_fds(&mut fds, timeout_ms)
+        self.stats.peak_open = self.stats.peak_open.max(open);
+        // Round up, so a deadline is never polled for before it is due.
+        let timeout_ms =
+            wait.map_or(-1, |d| d.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32);
+        let ready = poll_fds(&mut self.fds, timeout_ms)
             .map_err(|e| AdaSenseError::ingest(format!("reactor poll failed: {e}")))?;
+        self.stats.polls += 1;
         if ready == 0 {
+            self.stats.idle_polls += 1;
             return Ok(());
         }
-        for (slot, &owner) in fds.iter().zip(&owners) {
-            if slot.readable() {
-                self.read_feed(owner);
+        for slot in first_feed_slot..self.fds.len() {
+            if self.fds[slot].readable() {
+                self.read_feed(self.owners[slot - first_feed_slot]);
             }
+        }
+        if first_feed_slot > 0 && self.fds[0].readable() {
+            self.drain_intake();
         }
         Ok(())
     }
@@ -570,7 +665,7 @@ impl IngestReactor {
         let feed = &mut self.feeds[i];
         if let Some(last) = feed.last_dial {
             if last.elapsed() < self.policy.delay {
-                return; // not due yet; poll_ready's short timeout re-checks
+                return; // not due yet; poll_ready wakes at the deadline
             }
         }
         feed.last_dial = Some(Instant::now());
@@ -924,12 +1019,10 @@ mod tests {
         server.join().unwrap();
     }
 
-    #[test]
-    fn unsubscribe_departs_the_feed_at_the_last_delivered_batch() {
-        use std::io::Write as _;
-        // A server that streams three batches and never sends END: without a
-        // departure the feed would sit in Streaming forever.
-        let trace = sample_trace(3);
+    /// A server that streams `trace` to its first dial and never sends END:
+    /// without a departure the feed would sit in Streaming forever.  It holds
+    /// the socket open until the reactor drops it.
+    fn serve_without_end(trace: TelemetryTrace) -> (String, std::thread::JoinHandle<()>) {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
@@ -940,22 +1033,23 @@ mod tests {
                 bytes.extend_from_slice(encoder.batch(batch));
             }
             conn.write_all(&bytes).unwrap();
-            // Hold the socket open until the reactor drops it on departure.
             let mut sink = [0u8; 64];
             while matches!(conn.read(&mut sink), Ok(n) if n > 0) {}
         });
+        (addr, server)
+    }
 
-        let mut reactor = IngestReactor::new().with_policy(fast_policy());
-        let handle = reactor.handle();
-        let source = reactor.subscribe(&addr, 9);
-        let runner = std::thread::spawn(move || reactor.run().unwrap());
-
+    /// Consumes `batches` batches of the known tick schedule on a thread,
+    /// signals, then expects end-of-stream; the thread returns the count.
+    fn consume_then_expect_end(
+        mut source: ChannelSource,
+        batches: usize,
+    ) -> (std::sync::mpsc::Receiver<()>, std::thread::JoinHandle<usize>) {
         let (got_batches, done) = std::sync::mpsc::channel();
         let consumer = std::thread::spawn(move || {
-            let mut source = source;
             let config = SensorConfig::paper_pareto_front()[0];
             let mut delivered = 0usize;
-            for i in 0..3 {
+            for i in 0..batches {
                 assert_eq!(source.status(), SourceStatus::Ready, "batch {i} should arrive");
                 let mut window = Vec::new();
                 source.capture_window(config, 2.0 * (i + 1) as f64, 2.0, &mut window);
@@ -966,7 +1060,18 @@ mod tests {
             assert_eq!(source.status(), SourceStatus::Exhausted);
             delivered
         });
+        (done, consumer)
+    }
 
+    #[test]
+    fn unsubscribe_departs_the_feed_at_the_last_delivered_batch() {
+        let (addr, server) = serve_without_end(sample_trace(3));
+        let mut reactor = IngestReactor::new().with_policy(fast_policy());
+        let handle = reactor.handle();
+        let source = reactor.subscribe(&addr, 9);
+        let runner = std::thread::spawn(move || reactor.run().unwrap());
+
+        let (done, consumer) = consume_then_expect_end(source, 3);
         done.recv().unwrap();
         handle.unsubscribe(9);
         drop(handle);
@@ -976,6 +1081,93 @@ mod tests {
             (stats.departed, stats.completed, stats.failed),
             (1, 0, 0),
             "a departure is neither a completion nor a failure: {stats:?}"
+        );
+        server.join().unwrap();
+    }
+
+    /// Churn is event-driven and the loop's work tracks live feeds: hundreds
+    /// of sequential sessions make the poll fire on wake bytes and socket
+    /// data alone, never on a timer, and each iteration visits only the one
+    /// or two feeds still live, not every session admitted so far.
+    #[test]
+    fn churn_needs_no_timer_and_loop_work_stays_flat() {
+        const SESSIONS: u64 = 200;
+        let trace = sample_trace(1);
+        let mut serve = TelemetryServe::bind(
+            "127.0.0.1:0",
+            (0..SESSIONS).map(|id| (id, trace.clone())).collect(),
+        )
+        .unwrap();
+        let addr = serve.local_addr().to_string();
+        let server = std::thread::spawn(move || serve.serve_streams(SESSIONS, 50).unwrap());
+        let (endless_addr, endless) = serve_without_end(sample_trace(2));
+
+        let mut reactor = IngestReactor::new().with_policy(fast_policy());
+        let handle = reactor.handle();
+        let runner = std::thread::spawn(move || reactor.run().unwrap());
+        for id in 0..SESSIONS {
+            assert_eq!(drain(handle.subscribe(&addr, id), 1).batches, trace.batches);
+        }
+        let (done, consumer) =
+            consume_then_expect_end(handle.subscribe(&endless_addr, SESSIONS), 2);
+        done.recv().unwrap();
+        handle.unsubscribe(SESSIONS);
+        drop(handle);
+
+        let stats = runner.join().unwrap();
+        assert_eq!(consumer.join().unwrap(), 2);
+        assert_eq!(
+            (stats.joined, stats.completed, stats.departed, stats.failed, stats.batches),
+            (SESSIONS + 1, SESSIONS, 1, 0, SESSIONS + 2),
+            "{stats:?}"
+        );
+        assert_eq!(stats.idle_polls, 0, "a join or departure waited on a timer: {stats:?}");
+        assert!(
+            stats.feed_visits <= 2 * stats.polls,
+            "the loop visits retired feeds: {} visits over {} polls",
+            stats.feed_visits,
+            stats.polls
+        );
+        server.join().unwrap();
+        endless.join().unwrap();
+    }
+
+    #[test]
+    fn subscribing_after_the_reactor_is_gone_ends_the_source_at_once() {
+        let mut reactor = IngestReactor::new();
+        let handle = reactor.handle();
+        drop(reactor);
+        let mut source = handle.subscribe("127.0.0.1:9", 1);
+        assert_eq!(source.status(), SourceStatus::Exhausted);
+        handle.unsubscribe(1);
+    }
+
+    /// Batches decoded while the channel ring was full reach the consumer
+    /// even when their socket then goes quiet: the ring re-check covers a
+    /// backlog below the park threshold, not only a parked or draining feed.
+    #[test]
+    fn a_backlog_behind_a_quiet_socket_still_reaches_the_consumer() {
+        // One read decodes the whole burst far faster than the consumer
+        // drains a one-batch ring, so most of it waits in the overflow queue
+        // (below PARK_THRESHOLD: the feed is never parked).
+        const BACKLOG: usize = 24;
+        let (addr, server) = serve_without_end(sample_trace(BACKLOG));
+        let mut reactor = IngestReactor::new().with_channel_capacity(1).with_policy(fast_policy());
+        let handle = reactor.handle();
+        let source = reactor.subscribe(&addr, 9);
+        let runner = std::thread::spawn(move || reactor.run().unwrap());
+
+        let (done, consumer) = consume_then_expect_end(source, BACKLOG);
+        done.recv_timeout(Duration::from_secs(10))
+            .expect("the batches queued behind the one-batch ring never arrived");
+        handle.unsubscribe(9);
+        drop(handle);
+        let stats = runner.join().unwrap();
+        assert_eq!(consumer.join().unwrap(), BACKLOG);
+        assert_eq!(
+            (stats.batches, stats.departed, stats.failed),
+            (BACKLOG as u64, 1, 0),
+            "{stats:?}"
         );
         server.join().unwrap();
     }
