@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     use adasense::prelude::*;
     use adasense_bench::{
-        churn_plan, int_arg, record_churn_traces, string_arg, train_system, RunScale,
+        churn_plan, int_arg, record_fleet_traces, string_arg, train_system, RunScale,
     };
 
     let scale = RunScale::from_args();
@@ -87,7 +87,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (reference, live, stats) = if churn {
         let plan = churn_plan(devices, duration_s);
         eprintln!("[reactor_fleet] churn reference: {devices} per-lifetime feeds…");
-        let traces = record_churn_traces(&spec, &system, &fleet, &plan)?;
+        let lengths = plan.iter().map(|e| (e.device_id, e.lifetime_s));
+        let traces = record_fleet_traces(&spec, &system, &fleet, lengths)?;
         let reference_feeds: Vec<_> = traces
             .iter()
             .zip(&plan)

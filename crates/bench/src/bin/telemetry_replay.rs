@@ -6,8 +6,9 @@
 //! 1. Run a scenario-driven fleet through the scheduler (the reference).
 //! 2. Re-run every device standalone under a `TraceRecorder` and write its
 //!    stream as a wire-format `.trace` file.
-//! 3. Serve each trace file over its own loopback TCP listener and replay the
-//!    whole cohort through `SocketSource`s as a feed-only fleet.
+//! 3. Serve the trace files from one loopback `TelemetryServe` and replay
+//!    the whole cohort through one `IngestReactor` as a feed-only fleet —
+//!    the production network path.
 //! 4. Fail unless every replayed `DeviceSummary` row is bit-identical to the
 //!    reference row.
 //! 5. Additionally run a *mixed* fleet — the scenario cohort plus a
@@ -19,15 +20,19 @@
 //! `--routine <preset>`, `--fault <none|light|heavy>` and `--trace-dir PATH`
 //! to change the workload).  Exits non-zero on any mismatch.
 
-use std::io::Write;
-use std::net::TcpListener;
+#[cfg(not(unix))]
+fn main() {
+    eprintln!("telemetry_replay needs poll(2) and is only built on Unix platforms");
+    std::process::exit(2);
+}
+
+#[cfg(unix)]
 use std::path::{Path, PathBuf};
 
-use adasense::ingest::{telemetry_channel, ReconnectPolicy, SocketSource, TraceRecorder};
+#[cfg(unix)]
 use adasense::prelude::*;
-use adasense::TelemetryTrace;
-use adasense_bench::{int_arg, string_arg, train_system, RunScale};
 
+#[cfg(unix)]
 fn trace_path(dir: &Path, device_id: u64) -> PathBuf {
     dir.join(format!("device_{device_id:04}.trace"))
 }
@@ -35,6 +40,7 @@ fn trace_path(dir: &Path, device_id: u64) -> PathBuf {
 /// Compares two summary rows field by field, returning the names of the
 /// fields that differ.  `ignore_faults` masks `faulted_epochs`: fault
 /// exposure is a capture-side property a replayed feed cannot observe.
+#[cfg(unix)]
 fn row_mismatches(a: &DeviceSummary, b: &DeviceSummary, ignore_faults: bool) -> Vec<&'static str> {
     let mut bad = Vec::new();
     let mut check = |name, equal: bool| {
@@ -61,6 +67,7 @@ fn row_mismatches(a: &DeviceSummary, b: &DeviceSummary, ignore_faults: bool) -> 
     bad
 }
 
+#[cfg(unix)]
 fn compare_cohorts(
     what: &str,
     reference: &[DeviceSummary],
@@ -88,7 +95,10 @@ fn compare_cohorts(
     Ok(())
 }
 
+#[cfg(unix)]
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    use adasense_bench::{int_arg, record_fleet_traces, string_arg, train_system, RunScale};
+
     let scale = RunScale::from_args();
     let devices = int_arg("--devices")?.unwrap_or(6);
     let duration_s = int_arg("--duration")?.unwrap_or(60) as f64;
@@ -124,25 +134,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2) Record every device's stream and export it as a wire-format file.
     std::fs::create_dir_all(&trace_dir)?;
-    let mut plans = Vec::with_capacity(devices as usize);
+    let plans: Vec<_> = (0..devices).map(|device_id| fleet.device_plan(device_id)).collect();
+    let lengths = plans.iter().map(|plan| (plan.device_id, plan.scenario.duration_s()));
     let mut total_bytes = 0u64;
-    for device_id in 0..devices {
-        let plan = fleet.device_plan(device_id);
-        let recorder = TraceRecorder::new(scheduler.device_source(&fleet, &plan));
-        let mut runtime = DeviceRuntime::for_source(
-            &spec,
-            &system,
-            fleet.controller,
-            recorder,
-            plan.scenario.duration_s(),
-        )?
-        .with_classifier(system.backend(plan.backend));
-        runtime.run_to_completion();
-        let trace = runtime.source().trace().clone();
+    for (device_id, trace) in record_fleet_traces(&spec, &system, &fleet, lengths)? {
         let mut file = std::fs::File::create(trace_path(&trace_dir, device_id))?;
         trace.encode_to(&mut file)?;
         total_bytes += file.metadata()?.len();
-        plans.push(plan);
     }
     eprintln!(
         "[telemetry_replay] recorded {devices} traces ({:.1} KiB) to {}",
@@ -150,30 +148,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trace_dir.display()
     );
 
-    // 3) Serve every trace file over its own loopback listener and replay the
-    //    cohort through SocketSources (file → socket → runtime).
-    let mut feeds = Vec::with_capacity(plans.len());
-    let mut servers = Vec::with_capacity(plans.len());
+    // 3) Serve every trace file from one loopback server and replay the
+    //    cohort through one reactor (file → socket → reactor → runtime).
+    let mut traces = Vec::with_capacity(plans.len());
     for plan in &plans {
         let bytes = std::fs::read(trace_path(&trace_dir, plan.device_id))?;
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?.to_string();
-        servers.push(std::thread::spawn(move || -> Result<(), String> {
-            let (mut conn, _) = listener.accept().map_err(|e| e.to_string())?;
-            conn.write_all(&bytes).map_err(|e| e.to_string())
-        }));
-        let source = SocketSource::tcp(&addr, ReconnectPolicy::default())?;
-        feeds.push(
-            ExternalDevice::new(plan.device_id, source)
-                .with_metadata(plan.seed, plan.routine.clone())
-                .with_backend(plan.backend),
-        );
+        traces.push((plan.device_id, TelemetryTrace::decode(&bytes)?));
     }
+    let mut serve = TelemetryServe::bind("127.0.0.1:0", traces)?;
+    let addr = serve.local_addr().to_string();
+    let server = std::thread::spawn(move || serve.serve_streams(devices, 200));
+    let mut reactor = IngestReactor::new();
+    let feeds: Vec<_> = plans
+        .iter()
+        .map(|plan| {
+            ExternalDevice::new(plan.device_id, reactor.subscribe(&addr, plan.device_id))
+                .with_metadata(plan.seed, plan.routine.clone())
+                .with_backend(plan.backend)
+        })
+        .collect();
+    let reactor = std::thread::spawn(move || reactor.run());
     let feed_only = FleetSpec { devices: 0, ..fleet.clone() };
     let replayed = scheduler.builder().spec(&feed_only).feeds(feeds).collect().run()?;
-    for server in servers {
-        server.join().expect("replay server thread")?;
+    let stats = reactor.join().expect("replay reactor thread")?;
+    if stats.failed > 0 {
+        return Err(
+            format!("socket replay: {} feeds failed: {:?}", stats.failed, stats.errors).into()
+        );
     }
+    server.join().expect("replay server thread")?;
     compare_cohorts("socket replay", &reference.summaries, &replayed.summaries, ignore_faults)?;
 
     // 4) Mixed fleet: the scenario cohort and a channel-fed replay cohort in

@@ -46,8 +46,7 @@ fn main() {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     use adasense::prelude::*;
     use adasense_bench::{
-        churn_plan, int_arg, record_churn_traces, record_fleet_traces, string_arg, train_system,
-        RunScale,
+        churn_plan, int_arg, record_fleet_traces, string_arg, train_system, RunScale,
     };
 
     let scale = RunScale::from_args();
@@ -72,22 +71,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     fleet.population = PopulationSpec::single(preset, FaultLevel::None);
 
     let plan = churn.then(|| churn_plan(devices, duration_s));
-    let traces = match &plan {
+    let lengths: Vec<(u64, f64)> = match &plan {
         Some(plan) => {
             eprintln!("[telemetry_serve] recording {devices} per-lifetime churn traces…");
-            record_churn_traces(&spec, &system, &fleet, plan)?
+            plan.iter().map(|e| (e.device_id, e.lifetime_s)).collect()
         }
         None => {
             eprintln!("[telemetry_serve] recording {devices} device traces…");
-            record_fleet_traces(&spec, &system, &fleet)?
+            (0..devices).map(|id| (id, fleet.device_plan(id).scenario.duration_s())).collect()
         }
     };
+    let traces = record_fleet_traces(&spec, &system, &fleet, lengths)?;
     let batches: usize = traces.iter().map(|(_, t)| t.len()).sum();
 
-    let mut serve = match &uds {
-        Some(path) => TelemetryServe::bind_unix(path, traces)?,
-        None => TelemetryServe::bind(&format!("127.0.0.1:{port}"), traces)?,
+    let addr = match &uds {
+        Some(path) => format!("unix:{path}"),
+        None => format!("127.0.0.1:{port}"),
     };
+    let mut serve = TelemetryServe::bind(&addr, traces)?;
     if let Some(plan) = &plan {
         for entry in plan {
             serve.set_start_epoch(entry.device_id, entry.start_epoch);
@@ -99,10 +100,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(below) = kill_below {
         serve = serve.with_kill_below(below);
     }
-    let addr = match &uds {
-        Some(path) => format!("unix:{path}"),
-        None => serve.local_addr().to_string(),
-    };
+    // A TCP bind may have picked an ephemeral port: report the real one.
+    let addr = if uds.is_some() { addr } else { serve.local_addr().to_string() };
     println!("listening on {addr} ({devices} devices, {batches} batches)");
     use std::io::Write as _;
     std::io::stdout().flush()?;

@@ -94,124 +94,14 @@ pub fn int_arg(name: &str) -> Result<Option<u64>, String> {
     }
 }
 
-/// Peak resident set size of this process so far, in bytes, read from
-/// `/proc/self/status` (`VmHWM`).  Returns `None` off Linux or when the file
-/// is unreadable — callers should report the figure as unavailable rather
-/// than fail the run.
-pub fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kib: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kib * 1024)
-}
-
-/// One fleet-throughput measurement, serialized to `BENCH_fleet.json` by
-/// `fleet_sim --bench-json` and enforced per PR by the `perf-track` CI
-/// ratchet (`fleet_sim --bench-baseline` fails on a >20% regression).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetBench {
-    /// Cohort size (devices simulated).
-    pub devices: u64,
-    /// Simulated seconds per device.
-    pub duration_s: f64,
-    /// Inference backend the cohort ran on (`f64`, `int8`, `cascade`, …).
-    pub backend: String,
-    /// Classified epochs across the whole cohort (one device-tick each).
-    pub device_ticks: u64,
-    /// Wall-clock seconds of the fleet run (training excluded).
-    pub wall_s: f64,
-    /// Worker threads the scheduler ran with.
-    pub threads: usize,
-    /// Peak resident set size in bytes, when the platform exposes it.
-    pub peak_rss_bytes: Option<u64>,
-}
-
-impl FleetBench {
-    /// Simulated device-ticks per wall-clock second.
-    pub fn device_ticks_per_sec(&self) -> f64 {
-        self.device_ticks as f64 / self.wall_s.max(1e-9)
-    }
-
-    /// The JSON document written to `BENCH_fleet.json` (hand-rolled: the
-    /// vendored serde is a no-op stand-in, and the schema is seven keys).
-    pub fn to_json(&self) -> String {
-        let rss = match self.peak_rss_bytes {
-            Some(bytes) => bytes.to_string(),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\n  \"devices\": {},\n  \"duration_s\": {:.1},\n  \"backend\": \"{}\",\n  \
-             \"device_ticks\": {},\n  \"wall_s\": {:.3},\n  \"device_ticks_per_sec\": {:.1},\n  \
-             \"threads\": {},\n  \"peak_rss_bytes\": {}\n}}\n",
-            self.devices,
-            self.duration_s,
-            self.backend,
-            self.device_ticks,
-            self.wall_s,
-            self.device_ticks_per_sec(),
-            self.threads,
-            rss
-        )
-    }
-
-    /// Parses a `BENCH_fleet.json` document produced by [`FleetBench::to_json`].
-    ///
-    /// Hand-rolled for the same reason `to_json` is: the vendored serde is a
-    /// no-op stand-in.  The parser is deliberately forgiving about whitespace
-    /// and key order but strict about the keys themselves, so a ratchet run
-    /// against a malformed or stale baseline fails loudly instead of
-    /// comparing against garbage.  Baselines written before the `backend` key
-    /// existed default it to `f64` (the only backend those baselines ran).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the missing or malformed key.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        fn raw_value(text: &str, key: &str) -> Result<String, String> {
-            let needle = format!("\"{key}\"");
-            let at = text.find(&needle).ok_or_else(|| format!("missing key `{key}`"))?;
-            let rest = &text[at + needle.len()..];
-            let rest = rest
-                .trim_start()
-                .strip_prefix(':')
-                .ok_or_else(|| format!("no `:` after key `{key}`"))?
-                .trim_start();
-            let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-            Ok(rest[..end].trim().to_string())
-        }
-        fn number<T: std::str::FromStr>(text: &str, key: &str) -> Result<T, String> {
-            raw_value(text, key)?.parse().map_err(|_| format!("key `{key}` is not a valid number"))
-        }
-        let backend = match raw_value(text, "backend") {
-            Ok(raw) => raw
-                .strip_prefix('"')
-                .and_then(|r| r.strip_suffix('"'))
-                .ok_or_else(|| "key `backend` is not a string".to_string())?
-                .to_string(),
-            Err(_) => "f64".to_string(),
-        };
-        let rss_raw = raw_value(text, "peak_rss_bytes")?;
-        let peak_rss_bytes = if rss_raw == "null" {
-            None
-        } else {
-            Some(rss_raw.parse().map_err(|_| "key `peak_rss_bytes` is not a valid number")?)
-        };
-        Ok(Self {
-            devices: number(text, "devices")?,
-            duration_s: number(text, "duration_s")?,
-            backend,
-            device_ticks: number(text, "device_ticks")?,
-            wall_s: number(text, "wall_s")?,
-            threads: number(text, "threads")?,
-            peak_rss_bytes,
-        })
-    }
-}
-
-/// Records every device of `fleet` as a wire-format telemetry trace by
-/// replaying its scenario through a standalone runtime under a
-/// `TraceRecorder` — the serving side of the live-ingestion soak tests
-/// (`telemetry_serve` pre-renders these, `reactor_fleet` consumes them live).
+/// Records the listed devices of `fleet` as wire-format telemetry traces,
+/// each `(device_id, length_s)` pair for `length_s` seconds, by replaying
+/// the device's scenario through a standalone runtime under a
+/// `TraceRecorder`.  `telemetry_serve` serves these traces, `reactor_fleet
+/// --churn` builds its reference from them, and `telemetry_replay` writes
+/// them to trace files.  A full-lifetime recording passes the device plan's
+/// `scenario.duration_s()`; a churn soak passes each
+/// [`ChurnEntry::lifetime_s`].
 ///
 /// # Errors
 ///
@@ -220,24 +110,22 @@ pub fn record_fleet_traces(
     spec: &ExperimentSpec,
     system: &TrainedSystem,
     fleet: &FleetSpec,
+    lengths: impl IntoIterator<Item = (u64, f64)>,
 ) -> Result<Vec<(u64, TelemetryTrace)>, AdaSenseError> {
     let scheduler = FleetScheduler::new(spec, system);
-    let mut traces = Vec::with_capacity(fleet.devices as usize);
-    for device_id in 0..fleet.devices {
-        let plan = fleet.device_plan(device_id);
-        let recorder = adasense::ingest::TraceRecorder::new(scheduler.device_source(fleet, &plan));
-        let mut runtime = DeviceRuntime::for_source(
-            spec,
-            system,
-            fleet.controller,
-            recorder,
-            plan.scenario.duration_s(),
-        )?
-        .with_classifier(system.backend(plan.backend));
-        runtime.run_to_completion();
-        traces.push((device_id, runtime.source().trace().clone()));
-    }
-    Ok(traces)
+    lengths
+        .into_iter()
+        .map(|(device_id, length_s)| {
+            let plan = fleet.device_plan(device_id);
+            let recorder =
+                adasense::ingest::TraceRecorder::new(scheduler.device_source(fleet, &plan));
+            let mut runtime =
+                DeviceRuntime::for_source(spec, system, fleet.controller, recorder, length_s)?
+                    .with_classifier(system.backend(plan.backend));
+            runtime.run_to_completion();
+            Ok((device_id, runtime.source().trace().clone()))
+        })
+        .collect()
 }
 
 /// One device's lifetime in a churn soak: when it joins the fleet clock and
@@ -280,34 +168,6 @@ pub fn churn_plan(devices: u64, duration_s: f64) -> Vec<ChurnEntry> {
         .collect()
 }
 
-/// Like [`record_fleet_traces`], but each device records only over its
-/// [`ChurnEntry::lifetime_s`] window — the per-lifetime traces behind the
-/// churn soak's byte-identity gate.
-///
-/// # Errors
-///
-/// Propagates runtime construction errors.
-pub fn record_churn_traces(
-    spec: &ExperimentSpec,
-    system: &TrainedSystem,
-    fleet: &FleetSpec,
-    plan: &[ChurnEntry],
-) -> Result<Vec<(u64, TelemetryTrace)>, AdaSenseError> {
-    let scheduler = FleetScheduler::new(spec, system);
-    let mut traces = Vec::with_capacity(plan.len());
-    for entry in plan {
-        let device = fleet.device_plan(entry.device_id);
-        let recorder =
-            adasense::ingest::TraceRecorder::new(scheduler.device_source(fleet, &device));
-        let mut runtime =
-            DeviceRuntime::for_source(spec, system, fleet.controller, recorder, entry.lifetime_s)?
-                .with_classifier(system.backend(device.backend));
-        runtime.run_to_completion();
-        traces.push((entry.device_id, runtime.source().trace().clone()));
-    }
-    Ok(traces)
-}
-
 /// Trains the HAR system for the selected scale, printing a short progress note.
 ///
 /// # Errors
@@ -331,42 +191,6 @@ pub fn train_system(scale: RunScale) -> Result<(ExperimentSpec, TrainedSystem), 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fleet_bench_json_round_trips() {
-        let bench = FleetBench {
-            devices: 256,
-            duration_s: 120.0,
-            backend: "cascade".to_string(),
-            device_ticks: 33826,
-            wall_s: 4.25,
-            threads: 4,
-            peak_rss_bytes: Some(8_994_816),
-        };
-        let parsed = FleetBench::from_json(&bench.to_json()).unwrap();
-        assert_eq!(parsed, bench);
-        assert!((parsed.device_ticks_per_sec() - 33826.0 / 4.25).abs() < 1e-9);
-
-        let no_rss = FleetBench { peak_rss_bytes: None, ..bench.clone() };
-        assert_eq!(FleetBench::from_json(&no_rss.to_json()).unwrap(), no_rss);
-    }
-
-    #[test]
-    fn fleet_bench_parser_defaults_backend_and_rejects_garbage() {
-        // A pre-`backend` baseline (the PR 6 schema) parses with backend f64.
-        let legacy = "{\n  \"devices\": 256,\n  \"duration_s\": 120.0,\n  \
-                      \"device_ticks\": 33826,\n  \"wall_s\": 21.393,\n  \
-                      \"device_ticks_per_sec\": 1581.2,\n  \"threads\": 4,\n  \
-                      \"peak_rss_bytes\": 8994816\n}\n";
-        let parsed = FleetBench::from_json(legacy).unwrap();
-        assert_eq!(parsed.backend, "f64");
-        assert_eq!(parsed.device_ticks, 33826);
-        assert_eq!(parsed.peak_rss_bytes, Some(8_994_816));
-
-        assert!(FleetBench::from_json("{}").unwrap_err().contains("missing key"));
-        let malformed = legacy.replace("\"devices\": 256", "\"devices\": \"many\"");
-        assert!(FleetBench::from_json(&malformed).unwrap_err().contains("devices"));
-    }
 
     #[test]
     fn churn_plan_is_deterministic_and_hits_the_soak_quotas() {

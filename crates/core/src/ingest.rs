@@ -17,22 +17,24 @@
 //!   ([`telemetry_channel`]): the producer half ([`TelemetrySender`]) blocks
 //!   when the ring is full, giving natural backpressure; dropping it signals
 //!   end-of-stream.  This is the test / fleet-cohort transport.
-//! * **[`SocketSource`]** — length-prefixed frames over TCP or Unix-domain
-//!   sockets with a connect-time [`ReconnectPolicy`]; backpressure is the
-//!   transport's own flow control (the reader decodes one frame per tick and
-//!   buffers at most one small fixed read block ahead).
+//! * **[`SocketSource`]** — replays length-prefixed frames from any reader
+//!   (a trace file, an in-memory trace), decoding one frame per tick and
+//!   buffering at most one small fixed read block ahead.
 //! * **[`TraceRecorder`]** — a decorator that records everything a wrapped
 //!   source delivers (windows *and* the ground-truth labels the runtime will
 //!   score against) so any simulated run — including fault-injected ones —
 //!   can be exported and replayed bit-identically.
-//! * **[`reactor`]** *(Unix)* — the event-driven ingestion reactor: one
-//!   thread readiness-polls thousands of nonblocking sockets, decodes frames
-//!   incrementally with [`StreamParser`], hands complete batches to
-//!   channel-fed fleet devices, and rides out torn connections with the
+//! * **[`reactor`]** *(Unix)* — the event-driven ingestion reactor and the
+//!   one network path into a fleet: one thread readiness-polls thousands of
+//!   nonblocking sockets, decodes frames incrementally with
+//!   [`StreamParser`], hands complete batches to channel-fed fleet devices,
+//!   and rides out torn connections under a [`ReconnectPolicy`] with the
 //!   RESUME handshake.
 //! * **[`serve`]** *(Unix)* — the matching server: one thread serves a whole
 //!   simulated fleet's recorded traces as live per-device socket streams
-//!   (the `telemetry_serve` binary), with server-side frame resume.
+//!   (the `telemetry_serve` binary), with server-side frame resume.  Both
+//!   ends speak TCP (`host:port`) or Unix-domain sockets (`unix:<path>`)
+//!   through one shared socket type.
 //!
 //! The acceptance bar for this layer is **determinism**: replaying a recorded
 //! trace through a socket must reproduce the originating run's
@@ -56,6 +58,8 @@ use crate::runtime::{SampleSource, SourceStatus};
 pub mod reactor;
 #[cfg(unix)]
 pub mod serve;
+#[cfg(unix)]
+mod socket;
 
 /// Magic bytes opening every telemetry stream.
 pub const WIRE_MAGIC: [u8; 4] = *b"ADSN";
@@ -1300,18 +1304,22 @@ impl SampleSource for ChannelSource {
 }
 
 // ---------------------------------------------------------------------------
-// SocketSource
+// ReconnectPolicy
 // ---------------------------------------------------------------------------
 
-/// How [`SocketSource`] retries *connection establishment* (a replay server
-/// that is still starting up, a device waking before its gateway).
+/// How the [`IngestReactor`](reactor::IngestReactor) dials a feed: its first
+/// connection, and again after every torn one.
 ///
-/// Reconnection does **not** apply mid-stream: a connection torn after the
-/// header would need server-side resume to stay deterministic, so a torn
-/// stream fails loudly instead (see `docs/WIRE_FORMAT.md`).
+/// Each dial burst gets `attempts` tries, `delay` apart — riding out a
+/// server that is still starting up, or a device waking before its gateway.
+/// A connection torn mid-stream is redialed under a fresh budget and resumed
+/// with a RESUME frame naming the next batch the feed has not received, so
+/// the replay stays bit-identical (see `docs/WIRE_FORMAT.md`).  A burst
+/// that spends its budget fails the feed.  Set it with
+/// [`IngestReactor::with_policy`](reactor::IngestReactor::with_policy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReconnectPolicy {
-    /// Total connection attempts before giving up (at least 1).
+    /// Connection attempts per dial burst before the feed fails (at least 1).
     pub attempts: u32,
     /// Delay between consecutive attempts.
     pub delay: Duration,
@@ -1325,24 +1333,27 @@ impl ReconnectPolicy {
 }
 
 impl Default for ReconnectPolicy {
-    /// 25 attempts, 200 ms apart — rides out a replay server that needs a few
+    /// 25 attempts, 200 ms apart — rides out a server that needs a few
     /// seconds to come up.
     fn default() -> Self {
         Self { attempts: 25, delay: Duration::from_millis(200) }
     }
 }
 
-/// A [`SampleSource`] reading length-prefixed wire-format frames off a byte
-/// stream — TCP, Unix-domain sockets, or any other [`Read`].
+// ---------------------------------------------------------------------------
+// SocketSource
+// ---------------------------------------------------------------------------
+
+/// A [`SampleSource`] replaying length-prefixed wire-format frames from any
+/// [`Read`]er — a trace file, or an in-memory trace.
 ///
 /// The source decodes exactly one frame per runtime tick; its only
 /// read-ahead is one decoded frame (the exhaustion probe) plus a fixed-size
-/// [`BufReader`] block (8 KiB — roughly ten low-rate frames), so
-/// backpressure remains the transport's own flow control: a slow consumer
-/// leaves the producer blocked in `write` once that bounded buffer and the
-/// kernel socket buffers fill.  End-of-stream is the wire format's explicit
-/// marker frame; a connection that dies without it fails loudly (see
-/// [`ReconnectPolicy`]).
+/// [`BufReader`] block (8 KiB — roughly ten low-rate frames).  End-of-stream
+/// is the wire format's explicit marker frame; a stream that ends without
+/// it, or carries a malformed frame, fails loudly.  Live network feeds go
+/// through the [`reactor`] instead, which redials and resumes torn
+/// connections.
 pub struct SocketSource {
     reader: BufReader<Box<dyn Read + Send>>,
     decoder: FrameDecoder,
@@ -1351,67 +1362,28 @@ pub struct SocketSource {
     done: bool,
     last: LastEpoch,
     delivered: u64,
-    peer: String,
 }
 
 impl SocketSource {
-    /// Connects to a TCP replay endpoint (for example `127.0.0.1:9000`),
-    /// retrying per `policy`, and validates the stream header.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AdaSenseError::Ingest`] when every attempt fails or the
-    /// header is invalid.
-    pub fn tcp(addr: &str, policy: ReconnectPolicy) -> Result<Self, AdaSenseError> {
-        let stream = connect_with_retries(addr, policy, |a| {
-            std::net::TcpStream::connect(a).map(|s| Box::new(s) as Box<dyn Read + Send>)
-        })?;
-        Self::from_boxed(stream, format!("tcp://{addr}"))
-    }
-
-    /// Connects to a Unix-domain socket replay endpoint, retrying per
-    /// `policy`, and validates the stream header.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AdaSenseError::Ingest`] when every attempt fails or the
-    /// header is invalid.
-    #[cfg(unix)]
-    pub fn unix(path: &str, policy: ReconnectPolicy) -> Result<Self, AdaSenseError> {
-        let stream = connect_with_retries(path, policy, |p| {
-            std::os::unix::net::UnixStream::connect(p).map(|s| Box::new(s) as Box<dyn Read + Send>)
-        })?;
-        Self::from_boxed(stream, format!("unix://{path}"))
-    }
-
-    /// Wraps an already-open byte stream (a file, an in-memory trace, a
-    /// connected socket) and validates the stream header.
+    /// Wraps a byte stream (a file, an in-memory trace) and validates the
+    /// stream header.
     ///
     /// # Errors
     ///
     /// Returns [`AdaSenseError::Ingest`] if the header is invalid.
     pub fn from_reader(reader: impl Read + Send + 'static) -> Result<Self, AdaSenseError> {
-        Self::from_boxed(Box::new(reader), "reader".to_string())
-    }
-
-    fn from_boxed(stream: Box<dyn Read + Send>, peer: String) -> Result<Self, AdaSenseError> {
+        let reader: Box<dyn Read + Send> = Box::new(reader);
         let mut source = Self {
-            reader: BufReader::new(stream),
+            reader: BufReader::new(reader),
             decoder: FrameDecoder::new(),
             batch: TelemetryBatch::placeholder(),
             pending: false,
             done: false,
             last: LastEpoch::default(),
             delivered: 0,
-            peer,
         };
         source.decoder.read_header(&mut source.reader)?;
         Ok(source)
-    }
-
-    /// The endpoint this source reads from (for diagnostics).
-    pub fn peer(&self) -> &str {
-        &self.peer
     }
 
     /// Number of batches delivered to the runtime so far.
@@ -1433,18 +1405,12 @@ impl SocketSource {
                 Ok(FrameKind::Report { shard }) => {
                     // Report frames belong on shard→coordinator links, not on a
                     // device telemetry feed.
-                    panic!(
-                        "{}: unexpected fleet-report frame for shard {shard} on a telemetry feed",
-                        self.peer
-                    )
+                    panic!("reader: unexpected fleet-report frame for shard {shard} on a telemetry feed")
                 }
                 Ok(FrameKind::Resume { device_id, .. }) => {
                     // Resume requests flow client→server; a server echoing one
                     // back is speaking the wrong direction of the protocol.
-                    panic!(
-                        "{}: unexpected resume frame for device {device_id} on a telemetry feed",
-                        self.peer
-                    )
+                    panic!("reader: unexpected resume frame for device {device_id} on a telemetry feed")
                 }
                 Ok(FrameKind::Join { .. }) => {
                     // Servers open every stream with a join handshake; a
@@ -1455,13 +1421,12 @@ impl SocketSource {
                 Ok(FrameKind::End { batches }) => {
                     assert!(
                         batches == self.delivered,
-                        "{}: end-of-stream marker claims {batches} batches, delivered {}",
-                        self.peer,
+                        "reader: end-of-stream marker claims {batches} batches, delivered {}",
                         self.delivered
                     );
                     self.done = true;
                 }
-                Err(error) => panic!("{}: {error}", self.peer),
+                Err(error) => panic!("reader: {error}"),
             }
         }
     }
@@ -1470,7 +1435,6 @@ impl SocketSource {
 impl std::fmt::Debug for SocketSource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SocketSource")
-            .field("peer", &self.peer)
             .field("delivered", &self.delivered)
             .field("done", &self.done)
             .finish_non_exhaustive()
@@ -1496,8 +1460,7 @@ impl SampleSource for SocketSource {
         self.poll();
         assert!(
             self.pending,
-            "{}: capture_window called past end-of-stream (check status first)",
-            self.peer
+            "reader: capture_window called past end-of-stream (check status first)"
         );
         check_batch("SocketSource", &self.batch, config, t_end, window_s);
         self.last.remember(&self.batch);
@@ -1521,30 +1484,6 @@ impl SampleSource for SocketSource {
             SourceStatus::Ready
         }
     }
-}
-
-/// Dials `target` up to `policy.attempts` times, sleeping `policy.delay`
-/// between attempts.
-fn connect_with_retries(
-    target: &str,
-    policy: ReconnectPolicy,
-    connect: impl Fn(&str) -> std::io::Result<Box<dyn Read + Send>>,
-) -> Result<Box<dyn Read + Send>, AdaSenseError> {
-    let attempts = policy.attempts.max(1);
-    let mut last_error = None;
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            std::thread::sleep(policy.delay);
-        }
-        match connect(target) {
-            Ok(stream) => return Ok(stream),
-            Err(error) => last_error = Some(error),
-        }
-    }
-    Err(AdaSenseError::ingest(format!(
-        "connecting to {target} failed after {attempts} attempts: {}",
-        last_error.expect("at least one attempt ran")
-    )))
 }
 
 #[cfg(test)]
@@ -1939,6 +1878,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(unix)]
     fn recorded_faulty_run_replays_bit_identically_over_a_socket() {
         let (spec, system) = shared_system();
         let scenario = ScenarioSpec::sit_then_walk(8.0, 8.0);
@@ -1967,89 +1907,20 @@ mod tests {
         let trace = original.source().trace().clone();
         let original = original.into_report();
 
-        // Serve the encoded trace over a loopback TCP connection.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let addr = listener.local_addr().unwrap().to_string();
-        let encoded = trace.encode();
-        let server = std::thread::spawn(move || {
-            let (mut conn, _) = listener.accept().expect("accept replay client");
-            conn.write_all(&encoded).expect("serve trace");
-        });
-
-        let source = SocketSource::tcp(&addr, ReconnectPolicy::default()).expect("connect");
+        // Serve the trace over loopback TCP and take it in through the
+        // reactor: the production network path, with no source of its own.
+        let mut serve = serve::TelemetryServe::bind("127.0.0.1:0", vec![(7, trace)]).unwrap();
+        let addr = serve.local_addr().to_string();
+        let server = std::thread::spawn(move || serve.serve_streams(1, 50));
+        let mut reactor = reactor::IngestReactor::new();
+        let source = reactor.subscribe(&addr, 7);
+        let reactor = std::thread::spawn(move || reactor.run());
         let mut replay = DeviceRuntime::new(spec, system, controller, source);
         replay.run_to_completion();
-        server.join().expect("server thread");
+        let stats = reactor.join().expect("reactor thread").expect("reactor runs");
+        assert_eq!((stats.completed, stats.failed), (1, 0), "{stats:?}");
+        server.join().expect("server thread").expect("trace served");
         assert_eq!(replay.into_report(), original, "socket replay must be bit-identical");
-    }
-
-    #[test]
-    fn socket_source_reconnects_to_a_late_server() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let addr = listener.local_addr().unwrap().to_string();
-        drop(listener); // nobody is listening yet
-
-        let trace = TelemetryTrace { batches: vec![sample_batch(2.0)] };
-        let encoded = trace.encode();
-        let addr_for_server = addr.clone();
-        let server = std::thread::spawn(move || {
-            // Come up late: the client must retry until this bind succeeds.
-            std::thread::sleep(Duration::from_millis(300));
-            let listener = std::net::TcpListener::bind(&addr_for_server).expect("rebind");
-            let (mut conn, _) = listener.accept().expect("accept");
-            conn.write_all(&encoded).expect("serve");
-        });
-
-        let policy = ReconnectPolicy { attempts: 50, delay: Duration::from_millis(50) };
-        let mut source = SocketSource::tcp(&addr, policy).expect("retry until the server is up");
-        let mut out = Vec::new();
-        source.capture_window(trace.batches[0].config, 2.0, 2.0, &mut out);
-        assert_eq!(out, trace.batches[0].samples);
-        assert_eq!(source.status(), SourceStatus::Exhausted);
-        server.join().expect("server thread");
-    }
-
-    #[test]
-    fn connect_failures_surface_after_the_policy_is_spent() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let addr = listener.local_addr().unwrap().to_string();
-        drop(listener);
-        let policy = ReconnectPolicy { attempts: 2, delay: Duration::from_millis(1) };
-        let error = SocketSource::tcp(&addr, policy).expect_err("nobody listens");
-        assert!(matches!(error, AdaSenseError::Ingest { .. }));
-    }
-
-    #[test]
-    #[cfg(unix)]
-    fn unix_socket_transport_delivers_frames() {
-        // The system temp directory exists whatever the build directory is, and
-        // keeps the path short of the 108-byte socket-path limit.
-        let dir = std::env::temp_dir().join(format!("adasense-ingest-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create socket directory");
-        let path = dir.join("transport.sock");
-        let path_str = path.to_str().expect("utf-8 temp path").to_string();
-        let _ = std::fs::remove_file(&path);
-
-        let trace = TelemetryTrace { batches: vec![sample_batch(2.0), sample_batch(3.0)] };
-        let encoded = trace.encode();
-        let listener = std::os::unix::net::UnixListener::bind(&path).expect("bind unix socket");
-        let server = std::thread::spawn(move || {
-            let (mut conn, _) = listener.accept().expect("accept");
-            conn.write_all(&encoded).expect("serve");
-        });
-
-        let mut source =
-            SocketSource::unix(&path_str, ReconnectPolicy::once()).expect("connect unix");
-        let mut out = Vec::new();
-        for batch in &trace.batches {
-            assert_eq!(source.status(), SourceStatus::Ready);
-            source.capture_window(batch.config, batch.t_end, batch.window_s, &mut out);
-            assert_eq!(out, batch.samples);
-        }
-        assert_eq!(source.status(), SourceStatus::Exhausted);
-        assert_eq!(source.delivered(), 2);
-        server.join().expect("server thread");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

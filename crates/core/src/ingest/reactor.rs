@@ -24,8 +24,9 @@
 //! [`telemetry_channel`](crate::ingest::telemetry_channel()); the scheduler
 //! consumes it like any other [`ExternalDevice`](crate::fleet::ExternalDevice)
 //! feed.  Backpressure never blocks the event loop: when a device's ring is
-//! full the decoded batch waits in a small overflow queue and the connection
-//! is *parked* (dropped from the poll set) until the runtime drains it.
+//! full the decoded batch waits in an overflow queue, and once 32 batches
+//! wait there the connection is *parked* (dropped from the poll set) until
+//! the runtime drains it.
 //!
 //! # What wakes the loop
 //!
@@ -59,7 +60,6 @@
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
-use std::net::TcpStream;
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::mpsc::{Receiver, Sender};
@@ -70,6 +70,8 @@ use polling::{poll_fds, PollFd, POLLIN};
 
 use adasense_sensor::TelemetryBatch;
 
+use super::socket::Stream;
+pub use super::socket::UNIX_ADDR_SCHEME;
 use super::{
     telemetry_channel, ChannelSource, FrameEncoder, FrameKind, ReconnectPolicy, StreamParser,
     TelemetrySender,
@@ -87,6 +89,11 @@ const PARK_THRESHOLD: usize = 32;
 /// How soon a feed holding undelivered batches re-checks its channel ring
 /// for room.
 const REFILL_CHECK: Duration = Duration::from_millis(1);
+
+/// Per-feed failures kept in [`ReactorStats::errors`]; later ones are only
+/// counted in [`ReactorStats::failed`], so the record stays bounded however
+/// large the cohort.
+const MAX_RECORDED_ERRORS: usize = 64;
 
 /// Counters and outcomes for one [`IngestReactor::run`], returned when every
 /// feed has completed or failed.
@@ -122,8 +129,19 @@ pub struct ReactorStats {
     /// Feeds the loop serviced, summed over its iterations (one visit per
     /// live feed per iteration).
     pub feed_visits: u64,
-    /// Per-feed failures: `(device_id, error)`.
+    /// The first 64 per-feed failures, in the order they happened:
+    /// `(device_id, error)`.  [`failed`](Self::failed) counts every one.
     pub errors: Vec<(u64, AdaSenseError)>,
+}
+
+impl ReactorStats {
+    /// Counts one failed feed, keeping its error if the record has room.
+    fn record_failure(&mut self, device_id: u64, error: AdaSenseError) {
+        self.failed += 1;
+        if self.errors.len() < MAX_RECORDED_ERRORS {
+            self.errors.push((device_id, error));
+        }
+    }
 }
 
 /// Lifecycle of one subscription.
@@ -150,76 +168,9 @@ impl FeedState {
     }
 }
 
-/// One feed transport: loopback/remote TCP, or a Unix-domain socket for
-/// local fleets that skip the TCP stack.  Address scheme: `unix:<path>`
-/// dials a Unix socket, anything else is `host:port`.
-#[derive(Debug)]
-enum FeedSocket {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-/// The `unix:<path>` address prefix selecting a Unix-domain-socket feed.
-pub const UNIX_ADDR_SCHEME: &str = "unix:";
-
-impl FeedSocket {
-    /// Dials `addr`, honoring the `unix:` scheme.
-    fn connect(addr: &str) -> std::io::Result<Self> {
-        match addr.strip_prefix(UNIX_ADDR_SCHEME) {
-            Some(path) => Ok(Self::Unix(UnixStream::connect(path)?)),
-            None => {
-                let stream = TcpStream::connect(addr)?;
-                stream.set_nodelay(true)?;
-                Ok(Self::Tcp(stream))
-            }
-        }
-    }
-
-    fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
-        match self {
-            Self::Tcp(s) => s.set_nonblocking(nonblocking),
-            Self::Unix(s) => s.set_nonblocking(nonblocking),
-        }
-    }
-}
-
-impl Read for FeedSocket {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Self::Tcp(s) => s.read(buf),
-            Self::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for FeedSocket {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Self::Tcp(s) => s.write(buf),
-            Self::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Self::Tcp(s) => s.flush(),
-            Self::Unix(s) => s.flush(),
-        }
-    }
-}
-
-impl AsRawFd for FeedSocket {
-    fn as_raw_fd(&self) -> std::os::unix::io::RawFd {
-        match self {
-            Self::Tcp(s) => s.as_raw_fd(),
-            Self::Unix(s) => s.as_raw_fd(),
-        }
-    }
-}
-
 #[derive(Debug)]
 struct Conn {
-    stream: FeedSocket,
+    stream: Stream,
     parser: StreamParser,
     /// Batches received on *this* connection (END validates against it).
     received_this_stream: u64,
@@ -651,11 +602,10 @@ impl IngestReactor {
             self.stats.completed += 1;
         } else {
             feed.state = FeedState::Failed;
-            self.stats.failed += 1;
-            self.stats.errors.push((
+            self.stats.record_failure(
                 feed.device_id,
                 AdaSenseError::ingest("the telemetry consumer disconnected mid-stream"),
-            ));
+            );
         }
     }
 
@@ -700,8 +650,8 @@ impl IngestReactor {
     /// the handshake: stream header + RESUME naming the next batch wanted.
     /// The handshake is 29 bytes — it always fits the socket send buffer —
     /// so it is written before the socket goes nonblocking.
-    fn connect(addr: &str, device_id: u64, next_batch: u64) -> std::io::Result<FeedSocket> {
-        let mut stream = FeedSocket::connect(addr)?;
+    fn connect(addr: &str, device_id: u64, next_batch: u64) -> std::io::Result<Stream> {
+        let mut stream = Stream::connect(addr)?;
         let mut encoder = FrameEncoder::new();
         stream.write_all(encoder.header())?;
         stream.write_all(encoder.resume(device_id, next_batch))?;
@@ -829,11 +779,10 @@ impl IngestReactor {
         feed.sender = None; // closes the channel; the device ends early
         feed.overflow.clear();
         feed.state = FeedState::Failed;
-        self.stats.failed += 1;
         if corrupt {
             self.stats.corrupt_streams += 1;
         }
-        self.stats.errors.push((feed.device_id, error));
+        self.stats.record_failure(feed.device_id, error);
     }
 }
 
@@ -1180,8 +1129,7 @@ mod tests {
         let path = dir.join("feed.sock");
         let path_str = path.to_str().unwrap().to_string();
         let mut serve =
-            crate::ingest::serve::TelemetryServe::bind_unix(&path_str, vec![(6, trace.clone())])
-                .unwrap();
+            TelemetryServe::bind(&format!("unix:{path_str}"), vec![(6, trace.clone())]).unwrap();
         let server = std::thread::spawn(move || {
             serve.serve_streams(1, 50).unwrap();
             serve.stats()
@@ -1213,5 +1161,58 @@ mod tests {
         assert_eq!((stats.completed, stats.failed), (0, 1), "{stats:?}");
         assert_eq!(stats.errors[0].0, 4);
         drop(source);
+    }
+
+    /// `errors` keeps the first failures only, so a cohort that fails
+    /// wholesale cannot grow the record without bound; `failed` counts all.
+    #[test]
+    fn errors_keep_the_first_failures_and_failed_counts_them_all() {
+        let dead = {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            listener.local_addr().unwrap().to_string()
+        };
+        let mut reactor = IngestReactor::new().with_policy(ReconnectPolicy::once());
+        // Descending ids, so subscription order is not numeric order.
+        let ids: Vec<u64> = (0..100).rev().collect();
+        let sources: Vec<_> = ids.iter().map(|&id| reactor.subscribe(&dead, id)).collect();
+        let stats = reactor.run().unwrap();
+        assert_eq!((stats.feeds, stats.failed), (100, 100));
+        let recorded: Vec<u64> = stats.errors.iter().map(|(id, _)| *id).collect();
+        assert_eq!(recorded, ids[..MAX_RECORDED_ERRORS], "the first 64, in subscription order");
+        drop(sources);
+    }
+
+    /// A feed whose first dial finds nobody listening keeps redialing under
+    /// its policy and streams normally once the server comes up: a first
+    /// connection is not a reconnect.
+    #[test]
+    fn a_feed_reaches_a_server_that_comes_up_late() {
+        let trace = sample_trace(4);
+        let dir = std::env::temp_dir().join(format!("adasense-reactor-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("late.sock");
+        let _ = std::fs::remove_file(&path);
+        let addr = format!("unix:{}", path.display());
+
+        let mut reactor = IngestReactor::new()
+            .with_policy(ReconnectPolicy { attempts: 1_000, delay: Duration::from_millis(2) });
+        let source = reactor.subscribe(&addr, 5);
+        // The first dial, made here so that it certainly precedes the bind.
+        reactor.dial(0);
+        assert_eq!(reactor.feeds[0].state, FeedState::Dialing, "nobody listens yet");
+        assert_eq!(reactor.feeds[0].redials_left, 999, "the failed dial spent one attempt");
+        let consumer = std::thread::spawn(move || drain(source, 4));
+        let runner = std::thread::spawn(move || reactor.run().unwrap());
+
+        let mut serve = TelemetryServe::bind(&addr, vec![(5, trace.clone())]).unwrap();
+        serve.serve_streams(1, 50).unwrap();
+        let stats = runner.join().unwrap();
+        assert_eq!(consumer.join().unwrap().batches, trace.batches, "every batch delivered");
+        assert_eq!(
+            (stats.completed, stats.failed, stats.reconnects, stats.batches),
+            (1, 0, 0, 4),
+            "{stats:?}"
+        );
+        let _ = std::fs::remove_file(&path);
     }
 }

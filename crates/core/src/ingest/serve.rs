@@ -2,12 +2,12 @@
 //! recorded traces as per-device socket streams, with server-side frame
 //! resume (the other half of the RESUME handshake in `docs/WIRE_FORMAT.md`).
 //!
-//! A [`TelemetryServe`] binds one listening socket — TCP via
-//! [`bind`](TelemetryServe::bind), or a Unix-domain socket via
-//! [`bind_unix`](TelemetryServe::bind_unix) — and readiness-polls it together
-//! with every accepted connection on a single thread (via `poll(2)`, like the
-//! [`reactor`](crate::ingest::reactor) on the consuming side).  Each
-//! connection speaks one stream of the protocol:
+//! A [`TelemetryServe`] binds one listening socket — a TCP `host:port`, or
+//! a Unix-domain socket at `unix:<path>` (see [`bind`](TelemetryServe::bind))
+//! — and readiness-polls it together with every accepted connection on a
+//! single thread (via `poll(2)`, like the [`reactor`](crate::ingest::reactor)
+//! on the consuming side).  Each connection speaks one stream of the
+//! protocol:
 //!
 //! 1. The client sends a stream header followed by one RESUME frame naming
 //!    the device it wants and the index of the next batch it has not yet
@@ -42,15 +42,15 @@
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::os::unix::io::AsRawFd;
-use std::os::unix::net::{UnixListener, UnixStream};
 use std::time::{Duration, Instant};
 
 use polling::{poll_fds, PollFd, POLLIN, POLLOUT};
 
 use adasense_sensor::{SensorConfig, TelemetryBatch};
 
+use super::socket::{Listener, Stream};
 use super::{FrameEncoder, FrameKind, StreamParser, TelemetryTrace};
 use crate::error::AdaSenseError;
 
@@ -130,91 +130,9 @@ enum ConnState {
     },
 }
 
-/// One accepted connection: TCP or Unix-domain, behind one vtable-free enum.
-#[derive(Debug)]
-enum ServeSocket {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-impl ServeSocket {
-    fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
-        match self {
-            Self::Tcp(s) => s.set_nonblocking(nonblocking),
-            Self::Unix(s) => s.set_nonblocking(nonblocking),
-        }
-    }
-
-    fn shutdown(&self) -> std::io::Result<()> {
-        match self {
-            Self::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
-            Self::Unix(s) => s.shutdown(std::net::Shutdown::Both),
-        }
-    }
-}
-
-impl Read for ServeSocket {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Self::Tcp(s) => s.read(buf),
-            Self::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for ServeSocket {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Self::Tcp(s) => s.write(buf),
-            Self::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Self::Tcp(s) => s.flush(),
-            Self::Unix(s) => s.flush(),
-        }
-    }
-}
-
-impl AsRawFd for ServeSocket {
-    fn as_raw_fd(&self) -> std::os::unix::io::RawFd {
-        match self {
-            Self::Tcp(s) => s.as_raw_fd(),
-            Self::Unix(s) => s.as_raw_fd(),
-        }
-    }
-}
-
-/// The listening half: one TCP or one Unix-domain socket.
-#[derive(Debug)]
-enum ServeListener {
-    Tcp(TcpListener),
-    Unix(UnixListener),
-}
-
-impl ServeListener {
-    fn accept(&self) -> std::io::Result<ServeSocket> {
-        match self {
-            Self::Tcp(l) => l.accept().map(|(s, _)| ServeSocket::Tcp(s)),
-            Self::Unix(l) => l.accept().map(|(s, _)| ServeSocket::Unix(s)),
-        }
-    }
-}
-
-impl AsRawFd for ServeListener {
-    fn as_raw_fd(&self) -> std::os::unix::io::RawFd {
-        match self {
-            Self::Tcp(l) => l.as_raw_fd(),
-            Self::Unix(l) => l.as_raw_fd(),
-        }
-    }
-}
-
 #[derive(Debug)]
 struct ServeConn {
-    stream: ServeSocket,
+    stream: Stream,
     parser: StreamParser,
     state: ConnState,
     /// When this connection last made progress (accept, read, or write).
@@ -228,7 +146,7 @@ struct ServeConn {
 /// docs](self) for the protocol and the backpressure model.
 #[derive(Debug)]
 pub struct TelemetryServe {
-    listener: ServeListener,
+    listener: Listener,
     devices: HashMap<u64, DeviceStream>,
     conns: Vec<Option<ServeConn>>,
     stats: ServeStats,
@@ -245,41 +163,30 @@ pub struct TelemetryServe {
 }
 
 impl TelemetryServe {
-    /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// pre-encodes one stream per `(device_id, trace)` pair.
+    /// Binds `addr` and pre-encodes one stream per `(device_id, trace)`
+    /// pair.  `addr` is a TCP `host:port` (e.g. `"127.0.0.1:0"` for an
+    /// ephemeral port) or `unix:<path>` for a Unix-domain socket, the same
+    /// scheme the [`reactor`](crate::ingest::reactor) dials.  A socket file
+    /// already at the path is replaced; any other file there fails the bind
+    /// and is left untouched.  Everything else — the RESUME handshake, JOIN
+    /// frames, chaos kills, backpressure — behaves identically on both
+    /// transports.
     ///
     /// # Errors
     ///
     /// Returns [`AdaSenseError::Ingest`] if the listener cannot be bound.
     pub fn bind(addr: &str, traces: Vec<(u64, TelemetryTrace)>) -> Result<Self, AdaSenseError> {
-        let listener = TcpListener::bind(addr)
-            .map_err(|e| AdaSenseError::ingest(format!("binding {addr} failed: {e}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| AdaSenseError::ingest(format!("nonblocking listener failed: {e}")))?;
-        Ok(Self::with_listener(ServeListener::Tcp(listener), Self::encode_devices(traces)))
-    }
-
-    /// Binds a Unix-domain socket at `path` (any stale socket file there is
-    /// removed first) and pre-encodes one stream per `(device_id, trace)`
-    /// pair.  Clients dial it with the reactor's `unix:<path>` address
-    /// scheme.  Everything else — the RESUME handshake, JOIN frames, chaos
-    /// kills, backpressure — behaves identically to a TCP server.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AdaSenseError::Ingest`] if the socket cannot be bound.
-    pub fn bind_unix(
-        path: &str,
-        traces: Vec<(u64, TelemetryTrace)>,
-    ) -> Result<Self, AdaSenseError> {
-        let _ = std::fs::remove_file(path);
-        let listener = UnixListener::bind(path)
-            .map_err(|e| AdaSenseError::ingest(format!("binding unix:{path} failed: {e}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| AdaSenseError::ingest(format!("nonblocking listener failed: {e}")))?;
-        Ok(Self::with_listener(ServeListener::Unix(listener), Self::encode_devices(traces)))
+        Ok(Self {
+            listener: Listener::bind(addr)?,
+            devices: Self::encode_devices(traces),
+            conns: Vec::new(),
+            stats: ServeStats::default(),
+            kill_at: None,
+            kill_below: None,
+            killed: std::collections::HashSet::new(),
+            park_after: Duration::from_millis(100),
+            drop_after: Duration::from_secs(5),
+        })
     }
 
     /// Like [`bind`](TelemetryServe::bind), but every batch is served as a
@@ -316,20 +223,6 @@ impl TelemetryServe {
             })
             .collect();
         Ok(serve)
-    }
-
-    fn with_listener(listener: ServeListener, devices: HashMap<u64, DeviceStream>) -> Self {
-        Self {
-            listener,
-            devices,
-            conns: Vec::new(),
-            stats: ServeStats::default(),
-            kill_at: None,
-            kill_below: None,
-            killed: std::collections::HashSet::new(),
-            park_after: Duration::from_millis(100),
-            drop_after: Duration::from_secs(5),
-        }
     }
 
     fn encode_devices(traces: Vec<(u64, TelemetryTrace)>) -> HashMap<u64, DeviceStream> {
@@ -393,8 +286,8 @@ impl TelemetryServe {
     /// OS cannot report the local address of a bound listener.
     pub fn local_addr(&self) -> SocketAddr {
         match &self.listener {
-            ServeListener::Tcp(l) => l.local_addr().expect("a bound listener has a local address"),
-            ServeListener::Unix(_) => {
+            Listener::Tcp(l) => l.local_addr().expect("a bound listener has a local address"),
+            Listener::Unix(_) => {
                 panic!("a unix-domain server has no TCP address; dial the bound path instead")
             }
         }
@@ -691,6 +584,7 @@ mod tests {
     use super::*;
     use crate::ingest::FrameDecoder;
     use adasense_sensor::{Sample3, SensorConfig};
+    use std::net::TcpStream;
 
     fn sample_trace(batches: usize) -> TelemetryTrace {
         let config = SensorConfig::paper_pareto_front()[0];
@@ -707,10 +601,10 @@ mod tests {
         trace
     }
 
-    /// Connects, sends the RESUME handshake, and returns everything the
-    /// server streamed back.
-    fn request(addr: SocketAddr, device_id: u64, next_batch: u64) -> Vec<u8> {
-        let mut stream = TcpStream::connect(addr).unwrap();
+    /// Connects to `addr` (`host:port` or `unix:<path>`), sends the RESUME
+    /// handshake, and returns everything the server streamed back.
+    fn request(addr: impl std::fmt::Display, device_id: u64, next_batch: u64) -> Vec<u8> {
+        let mut stream = Stream::connect(&addr.to_string()).unwrap();
         let mut encoder = FrameEncoder::new();
         stream.write_all(encoder.header()).unwrap();
         stream.write_all(encoder.resume(device_id, next_batch)).unwrap();
@@ -775,30 +669,58 @@ mod tests {
         assert_eq!(serve.open_connections(), 0, "served connections are closed");
     }
 
+    /// A scratch directory for Unix-socket tests: the system temp directory
+    /// exists whatever the build directory is, and keeps paths short of the
+    /// 108-byte socket-path limit.
+    fn socket_dir() -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("adasense-serve-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
     fn unix_domain_server_speaks_the_same_protocol() {
         let trace = sample_trace(3);
-        let dir = std::env::temp_dir().join(format!("adasense-serve-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("uds-parity.sock");
-        let path_str = path.to_str().unwrap().to_string();
-        let mut serve = TelemetryServe::bind_unix(&path_str, vec![(2, trace.clone())]).unwrap();
-        let dial = path_str.clone();
-        let client = std::thread::spawn(move || {
-            let mut stream = UnixStream::connect(&dial).unwrap();
-            let mut encoder = FrameEncoder::new();
-            stream.write_all(encoder.header()).unwrap();
-            stream.write_all(encoder.resume(2, 0)).unwrap();
-            let mut response = Vec::new();
-            stream.read_to_end(&mut response).unwrap();
-            response
-        });
+        let path = socket_dir().join("uds-parity.sock");
+        let addr = format!("unix:{}", path.display());
+        let mut serve = TelemetryServe::bind(&addr, vec![(2, trace.clone())]).unwrap();
+        let client = std::thread::spawn(move || request(addr, 2, 0));
         serve.serve_streams(1, 50).unwrap();
         let response = client.join().unwrap();
         let (join, batches, count) = decode_stream_with_join(&response);
         assert_eq!(join.0, 2);
         assert_eq!(batches, trace.batches);
         assert_eq!(count, 3);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Binding a `unix:` path replaces a socket file that a dropped listener
+    /// left behind, but never deletes anything else found at the path.
+    #[test]
+    fn a_unix_bind_replaces_a_stale_socket_but_not_a_regular_file() {
+        let notes = socket_dir().join("notes.txt");
+        std::fs::write(&notes, b"field notes").unwrap();
+        let error = TelemetryServe::bind(&format!("unix:{}", notes.display()), Vec::new())
+            .expect_err("a regular file is not a socket");
+        assert!(matches!(error, AdaSenseError::Ingest { .. }), "{error}");
+        assert!(
+            error.to_string().contains(&notes.display().to_string()),
+            "the error names the path: {error}"
+        );
+        assert_eq!(std::fs::read(&notes).unwrap(), b"field notes", "the file is untouched");
+        let _ = std::fs::remove_file(&notes);
+
+        let path = socket_dir().join("stale.sock");
+        let addr = format!("unix:{}", path.display());
+        let _ = std::fs::remove_file(&path);
+        drop(TelemetryServe::bind(&addr, Vec::new()).unwrap());
+        assert!(path.exists(), "a dropped listener leaves its socket file behind");
+        let trace = sample_trace(2);
+        let mut serve = TelemetryServe::bind(&addr, vec![(4, trace.clone())])
+            .expect("a stale socket is replaced");
+        let client = std::thread::spawn(move || request(addr, 4, 0));
+        serve.serve_streams(1, 50).unwrap();
+        assert_eq!(decode_stream(&client.join().unwrap()).0, trace.batches);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -327,9 +327,9 @@ fn unix_and_tcp_transports_produce_byte_identical_reports() {
     let dir = std::env::temp_dir().join(format!("adasense-churn-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("parity.sock");
-    let path_str = path.to_str().unwrap().to_string();
-    let uds_serve = TelemetryServe::bind_unix(&path_str, traces).unwrap();
-    let uds = run_cohort(format!("unix:{path_str}"), uds_serve);
+    let addr = format!("unix:{}", path.display());
+    let uds_serve = TelemetryServe::bind(&addr, traces).unwrap();
+    let uds = run_cohort(addr, uds_serve);
     let _ = std::fs::remove_file(&path);
 
     assert_eq!(
